@@ -42,6 +42,14 @@ class LruCache(Generic[V]):
             self._entries.move_to_end(key)
         return value
 
+    def peek(self, key: Hashable) -> Optional[V]:
+        """Value cached under ``key``, or ``None``, leaving recency alone."""
+        return self._entries.get(key)
+
+    def discard(self, key: Hashable) -> None:
+        """Drop ``key`` if cached."""
+        self._entries.pop(key, None)
+
     def put(self, key: Hashable, value: V) -> None:
         """Cache ``value`` under ``key``, evicting the least recent beyond capacity."""
         self._entries[key] = value

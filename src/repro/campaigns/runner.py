@@ -12,7 +12,8 @@ thin composition of three strategies:
   simulator with crash/timeout/retry supervision;
 * the store (behind a pluggable directory backend) serves warm specs up
   front and persists every fresh artifact the moment it exists, so a failed
-  campaign resumes incrementally.
+  campaign resumes incrementally.  The writes run in arrival order on one
+  writer thread, so their fsyncs overlap the next spec's evaluation.
 
 The merged :class:`CampaignReport` carries per-spec artifacts, summed engine
 counters, cross-scenario summary tables (worst SNR, peak temperature and
@@ -30,7 +31,9 @@ executor-conformance suite).
 
 from __future__ import annotations
 
+import contextvars
 import json
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
@@ -387,15 +390,25 @@ class CampaignRunner:
         ]
         points_by_index = {item.index: point for item, point in zip(items, pending)}
         if items:
-            for result in self.executor.execute(self.kernel, items):
-                self._absorb(
-                    result,
-                    points_by_index[result.item.index],
-                    artifacts,
-                    failures,
-                    engine_totals,
-                    payloads,
-                )
+            writes: List[Future] = []
+            # Leaving the block waits for every queued write, so a campaign
+            # that raises still keeps its completed work in the store.
+            with ThreadPoolExecutor(
+                max_workers=1, thread_name_prefix="repro-store"
+            ) as writer:
+                for result in self.executor.execute(self.kernel, items):
+                    self._absorb(
+                        result,
+                        points_by_index[result.item.index],
+                        artifacts,
+                        failures,
+                        engine_totals,
+                        payloads,
+                        writer,
+                        writes,
+                    )
+            for write in writes:
+                write.result()
 
         scenarios = [
             {
@@ -429,13 +442,16 @@ class CampaignRunner:
         artifacts: Dict[str, Optional[Dict[str, Any]]],
         failures: Dict[str, Dict[str, Any]],
         engine_totals: EngineStats,
-        payloads: Optional[List[str]] = None,
+        payloads: Optional[List[str]],
+        writer: ThreadPoolExecutor,
+        writes: List[Future],
     ) -> None:
         """Fold one execution result into the campaign state.
 
-        Successes persist to the store immediately; any incidents (failed
-        attempts, recovered or not) land in the failure-provenance document;
-        an unresolved spec either raises with full provenance (``on_error=
+        Successes are queued on ``writer`` for the store at once (a failed
+        earlier write raises here); any incidents (failed attempts,
+        recovered or not) land in the failure-provenance document; an
+        unresolved spec either raises with full provenance (``on_error=
         "raise"``) or is quarantined and the campaign keeps going.
         """
         item = result.item
@@ -453,11 +469,17 @@ class CampaignRunner:
             artifacts[item.name] = result.artifact
             engine_totals.merge(result.stats)
             if self.store is not None:
-                self.store.store(
-                    point.spec,
-                    ScenarioArtifact.from_dict(result.artifact),
-                    self.paths,
-                    self._transient_method(),
+                while writes and writes[0].done():
+                    writes.pop(0).result()
+                # The copied context carries the telemetry collector and
+                # the campaign span to the writer thread.
+                writes.append(
+                    writer.submit(
+                        contextvars.copy_context().run,
+                        self._persist,
+                        point.spec,
+                        result.artifact,
+                    )
                 )
             return
         if self.on_error == "raise":
@@ -469,6 +491,15 @@ class CampaignRunner:
                 error_type=error["type"],
                 message=error["message"],
             )
+
+    def _persist(self, spec: ScenarioSpec, artifact: Dict[str, Any]) -> None:
+        """Write one fresh artifact to the store (on the writer thread)."""
+        self.store.store(
+            spec,
+            ScenarioArtifact.from_dict(artifact),
+            self.paths,
+            self._transient_method(),
+        )
 
     def _telemetry_section(
         self, collector: "telemetry_mod.SpanCollector", payloads: List[str]

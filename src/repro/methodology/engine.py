@@ -34,7 +34,7 @@ path.
 from __future__ import annotations
 
 from collections import OrderedDict
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import Future, ProcessPoolExecutor
 from dataclasses import dataclass
 from math import ceil
 from typing import Any, Dict, Hashable, Iterable, List, Mapping, Optional, Tuple, Union
@@ -499,6 +499,29 @@ class SweepEngine:
             self.stats.basis_builds += 1
         if diagnostics.rom_fallback:
             self.stats.rom_fallbacks += 1
+
+    def prefetch_transient(
+        self,
+        request: TransientRequest,
+        flow_key: str = DEFAULT_FLOW_KEY,
+    ) -> List[Future]:
+        """Start the LU factorisations an LU transient solve of ``request``
+        will need, on the LU threads (see
+        :meth:`~repro.thermal.TransientSolver.prefetch`).
+
+        Nothing starts when the request is cached or will not take the LU
+        path.  Returns the builds, for
+        :func:`~repro.thermal.factorization.cancel_prefetches`.
+        """
+        if request.method != "lu":
+            return []
+        key = self._transient_point_key(flow_key, request)
+        if self._transient_cache.peek(key) is not None:
+            return []
+        solver = self._flows[flow_key].transient_solver(request.theta)
+        return solver.prefetch(
+            (phase.duration_s for phase in request.trace), request.dt_s
+        )
 
     def evaluate_transient_one(
         self,

@@ -61,7 +61,7 @@ from ..methodology import (
 )
 from ..oni import OniPowerConfig
 from ..snr import LaserDriveConfig
-from ..thermal import TRANSIENT_METHODS
+from ..thermal import TRANSIENT_METHODS, cancel_prefetches
 from .spec import SCHEMA_VERSION, ScenarioSpec, TraceSpec, WorkloadSpec
 
 #: Analysis paths a runner can execute, in canonical order.
@@ -397,24 +397,27 @@ class ScenarioRunner:
             yield
             timings[name] = time.perf_counter() - start
 
-    def run(self, paths: Sequence[str] = ALL_PATHS) -> ScenarioArtifact:
-        """Execute the requested analysis paths and assemble the artifact.
+    def _transient_request(self) -> Optional[TransientRequest]:
+        """Transient request of the spec, or ``None`` when it has no trace."""
+        trace_spec = self.spec.trace
+        if trace_spec is None:
+            return None
+        return TransientRequest(
+            trace=self.trace(),
+            power=self.power_config(),
+            dt_s=trace_spec.dt_s,
+            initial=trace_spec.initial,
+            method=self.transient_method,
+        )
 
-        While telemetry is enabled the artifact gains a ``telemetry``
-        provenance subdict (per-path wall times); the golden comparator
-        skips it via ``PROVENANCE_SUFFIXES``, and with telemetry disabled
-        (the default) it is absent entirely so artifacts stay byte-identical
-        to the pre-telemetry ones.
-        """
-        requested = list(paths)
-        unknown = sorted(set(requested) - set(ALL_PATHS))
-        if unknown:
-            raise ConfigurationError(
-                f"unknown analysis paths {unknown}; available: {list(ALL_PATHS)}"
-            )
-        flow = self.flow()
-        engine = self.engine()
-        self._configure_network(flow)
+    def _run_paths(
+        self,
+        requested: Sequence[str],
+        flow: ThermalAwareDesignFlow,
+        engine: SweepEngine,
+        transient: Optional[TransientRequest],
+    ) -> Tuple[Dict[str, Any], Dict[str, float]]:
+        """Run the requested paths; returns the results and per-path times."""
         results: Dict[str, Any] = {}
         timings: Dict[str, float] = {}
 
@@ -480,19 +483,11 @@ class ScenarioRunner:
                 }
 
         if "transient" in requested:
-            trace_spec = self.spec.trace
-            if trace_spec is None:
+            if transient is None:
                 results["transient"] = None
             else:
-                request = TransientRequest(
-                    trace=self.trace(),
-                    power=self.power_config(),
-                    dt_s=trace_spec.dt_s,
-                    initial=trace_spec.initial,
-                    method=self.transient_method,
-                )
                 with self._timed_path("transient", timings):
-                    evaluation = engine.evaluate_transient_one(request)
+                    evaluation = engine.evaluate_transient_one(transient)
                     series = flow.run_transient_snr(evaluation, self.drive())
                 diagnostics = evaluation.result.diagnostics
                 per_oni_settling = {
@@ -524,6 +519,45 @@ class ScenarioRunner:
                         "rom_fallback": diagnostics.rom_fallback,
                     },
                 }
+        return results, timings
+
+    def run(self, paths: Sequence[str] = ALL_PATHS) -> ScenarioArtifact:
+        """Execute the requested analysis paths and assemble the artifact.
+
+        While telemetry is enabled the artifact gains a ``telemetry``
+        provenance subdict (per-path wall times); the golden comparator
+        skips it via ``PROVENANCE_SUFFIXES``, and with telemetry disabled
+        (the default) it is absent entirely so artifacts stay byte-identical
+        to the pre-telemetry ones.
+
+        When the transient path will take LU, its stepper factorisations
+        start on the LU threads before the steady path does
+        (:meth:`~repro.methodology.SweepEngine.prefetch_transient`); if a
+        path fails, the prefetches not yet started are cancelled and the
+        running ones waited for.
+        """
+        requested = list(paths)
+        unknown = sorted(set(requested) - set(ALL_PATHS))
+        if unknown:
+            raise ConfigurationError(
+                f"unknown analysis paths {unknown}; available: {list(ALL_PATHS)}"
+            )
+        flow = self.flow()
+        engine = self.engine()
+        self._configure_network(flow)
+        transient = (
+            self._transient_request() if "transient" in requested else None
+        )
+        # The transient stepper LUs depend on the mesh and the step sizes
+        # only, so they are factorised on the LU threads while the other
+        # paths run; none of that work outlives this call.
+        prefetched = (
+            [] if transient is None else engine.prefetch_transient(transient)
+        )
+        try:
+            results, timings = self._run_paths(requested, flow, engine, transient)
+        finally:
+            cancel_prefetches(prefetched)
 
         if telemetry.is_enabled():
             # Timing provenance, skipped by the golden comparator (the

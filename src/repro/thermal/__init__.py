@@ -11,11 +11,14 @@ from .assembly import (
 from .boundary import FACES, BoundaryConditions, FaceCondition
 from .compact import CompactResult, CompactThermalModel
 from .factorization import (
+    Factorization,
     FactorizationCache,
+    cancel_prefetches,
     clear_factorization_cache,
     factorization_cache_stats,
     factorize,
     matrix_content_key,
+    prefetch,
 )
 from .mesh import Mesh3D, MeshBuilder, RefinementRegion, build_ticks, merge_close_ticks
 from .rom import (
@@ -56,11 +59,14 @@ __all__ = [
     "FaceCondition",
     "CompactResult",
     "CompactThermalModel",
+    "Factorization",
     "FactorizationCache",
+    "cancel_prefetches",
     "clear_factorization_cache",
     "factorization_cache_stats",
     "factorize",
     "matrix_content_key",
+    "prefetch",
     "TRANSIENT_METHODS",
     "ReducedBasis",
     "ReducedModel",

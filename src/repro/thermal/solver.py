@@ -18,11 +18,11 @@ from dataclasses import dataclass
 from typing import Iterable, List, Optional, Sequence
 
 import numpy as np
-from scipy.sparse.linalg import LinearOperator, cg, spilu
+from scipy.sparse.linalg import LinearOperator, cg
 
 from ..errors import SolverError
 from .assembly import AssembledOperator, assemble_operator, boundary_rhs
-from .factorization import factorize
+from .factorization import Factorization, factorize, incomplete_factorize
 from .boundary import BoundaryConditions
 from .mesh import Mesh3D
 from .sources import HeatSource, power_density_field
@@ -104,7 +104,7 @@ class SteadyStateSolver:
         self._direct_cell_limit = direct_cell_limit
         self._rtol = rtol
         self._operator: Optional[AssembledOperator] = None
-        self._factorization = None
+        self._factorization: Optional[Factorization] = None
         self._boundary_rhs: Optional[np.ndarray] = None
         self._last_diagnostics: Optional[SolverDiagnostics] = None
 
@@ -180,8 +180,8 @@ class SteadyStateSolver:
         # Iterative fallback for very large meshes.
         reused = self._factorization is not None
         if self._factorization is None:
-            self._factorization = spilu(
-                operator.matrix.tocsc(), drop_tol=1.0e-5, fill_factor=20.0
+            self._factorization = incomplete_factorize(
+                operator.matrix, drop_tol=1.0e-5, fill_factor=20.0
             )
         preconditioner = LinearOperator(
             operator.matrix.shape, self._factorization.solve

@@ -34,7 +34,9 @@ memory.
 
 from __future__ import annotations
 
+import functools
 import math
+from concurrent.futures import Future
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
@@ -49,7 +51,7 @@ from ..geometry import Box
 from ..log import get_logger
 from .assembly import AssembledOperator, assemble_operator, boundary_rhs
 from .boundary import FACES, BoundaryConditions
-from .factorization import factorize, matrix_content_key
+from .factorization import Factorization, factorize, matrix_content_key, prefetch
 from .mesh import Mesh3D
 from .rom import (
     DEFAULT_CONFIG,
@@ -94,6 +96,13 @@ def piecewise_segment_index(durations: Sequence[float], t: float) -> int:
     if t <= elapsed * (1.0 + 1.0e-12):
         return len(durations) - 1
     raise ValueError(f"time {t!r} beyond the total duration {elapsed!r}")
+
+
+def _equal_steps(duration_s: float, dt_s: float) -> Tuple[int, float]:
+    """Smallest number of equal steps of at most ``dt_s`` covering
+    ``duration_s``, and their length."""
+    count = max(1, int(math.ceil(duration_s / dt_s - 1.0e-9)))
+    return count, duration_s / count
 
 
 @dataclass(frozen=True)
@@ -455,7 +464,7 @@ class TransientSolver:
         #: dt -> (LU of A = C/dt + theta K, explicit matrix M = C/dt - (1-theta) K).
         #: Bounded LRU: each entry holds a full LU of the mesh, so sweeps
         #: varying dt must not accumulate them forever.
-        self._steppers: LruCache[Tuple[object, sparse.csr_matrix]] = LruCache(
+        self._steppers: LruCache[Tuple[Factorization, sparse.csr_matrix]] = LruCache(
             max_entries=8
         )
         #: Lifetime count of LU factorisations (monotone; unaffected by
@@ -538,7 +547,13 @@ class TransientSolver:
         )
         return digest.hexdigest()
 
-    def _stepper(self, dt: float) -> Tuple[object, sparse.csr_matrix]:
+    def _implicit_matrix(self, dt: float) -> sparse.csc_matrix:
+        """The implicit matrix ``C/dt + θK`` of step ``dt``."""
+        operator = self._ensure_operator()
+        capacitance_over_dt = sparse.diags(self._capacitance / dt)
+        return (capacitance_over_dt + self._theta * operator.matrix).tocsc()
+
+    def _stepper(self, dt: float) -> Tuple[Factorization, sparse.csr_matrix]:
         """LU of the implicit matrix and the explicit matrix for step ``dt``.
 
         Cached per distinct step size (bounded LRU), so a whole trace with
@@ -555,15 +570,16 @@ class TransientSolver:
         if cached is not None:
             return cached
         operator = self._ensure_operator()
-        capacitance_over_dt = sparse.diags(self._capacitance / dt)
-        implicit = (capacitance_over_dt + self._theta * operator.matrix).tocsc()
         explicit = (
-            capacitance_over_dt - (1.0 - self._theta) * operator.matrix
+            sparse.diags(self._capacitance / dt)
+            - (1.0 - self._theta) * operator.matrix
         ).tocsr()
         # For backward Euler the K term multiplies to exact zeros that would
         # otherwise stay stored and cost a full stencil matvec per step.
         explicit.eliminate_zeros()
-        factorization, _, _ = factorize(implicit, key=self._stepper_key(dt))
+        factorization, _, _ = factorize(
+            self._implicit_matrix(dt), key=self._stepper_key(dt)
+        )
         stepper = (factorization, explicit)
         self._steppers.put(dt, stepper)
         self._factorizations_total += 1
@@ -616,11 +632,9 @@ class TransientSolver:
         Segments of equal duration share the same effective dt — and hence
         the same cached factorisation.
         """
-        plan = []
-        for segment in schedule:
-            count = max(1, int(math.ceil(segment.duration_s / dt_s - 1.0e-9)))
-            plan.append((segment, count, segment.duration_s / count))
-        return plan
+        return [
+            (segment, *_equal_steps(segment.duration_s, dt_s)) for segment in schedule
+        ]
 
     def _source_load(self, sources: Sequence[HeatSource]) -> np.ndarray:
         """Flattened rasterised power load of a source set [W per cell].
@@ -848,6 +862,27 @@ class TransientSolver:
         )
 
     # Public API ------------------------------------------------------------------
+
+    def prefetch(self, durations: Iterable[float], dt_s: float) -> List[Future]:
+        """Start factorising, on the LU threads, the steppers a solve needs.
+
+        ``durations`` are the schedule's segment durations and ``dt_s`` the
+        maximum step of the coming :meth:`solve`.  Each distinct effective
+        step whose LU this instance has not cached is factorised in the
+        background under the content key :meth:`solve` will ask for, so the
+        solve collects the LU instead of building it.  The instance's own
+        stepper cache and factorisation count are left alone, so the
+        solve's diagnostics match a run without prefetch.  Returns the
+        builds (see :func:`~repro.thermal.factorization.cancel_prefetches`).
+        """
+        steps = dict.fromkeys(_equal_steps(d, dt_s)[1] for d in durations)
+        return [
+            prefetch(
+                functools.partial(self._implicit_matrix, dt), self._stepper_key(dt)
+            )
+            for dt in steps
+            if self._steppers.peek(dt) is None
+        ]
 
     def solve(
         self,

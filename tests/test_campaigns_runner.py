@@ -1,6 +1,7 @@
 """CampaignRunner: store incrementality, summaries, determinism parity."""
 
 import json
+import threading
 
 import pytest
 
@@ -196,6 +197,40 @@ class TestCampaignRun:
         report = run_campaign([spec], paths=("steady",), name="bare")
         assert report.scenarios[0]["axes"] == {}
         assert report.scenarios[0]["name"] == spec.name
+
+
+class TestStoreWriter:
+    def test_writes_run_in_order_off_the_calling_thread(
+        self, tmp_path, monkeypatch
+    ):
+        """Fresh artifacts persist on a writer thread, in arrival order,
+        and every write has landed by the time ``run`` returns."""
+        store = ArtifactStore(tmp_path / "store")
+        written = []
+        real_store = store.store
+
+        def recording_store(spec, *args):
+            written.append((spec.name, threading.get_ident()))
+            return real_store(spec, *args)
+
+        monkeypatch.setattr(store, "store", recording_store)
+        report = CampaignRunner(TINY, store=store, paths=("steady",)).run()
+        assert [name for name, _ in written] == [
+            entry["name"] for entry in report.scenarios
+        ]
+        assert threading.get_ident() not in {tid for _, tid in written}
+        assert len(store) == 2
+        assert report.store["writes"] == 2
+
+    def test_failed_write_raises_from_run(self, tmp_path, monkeypatch):
+        store = ArtifactStore(tmp_path / "store")
+
+        def failing_store(*args):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(store, "store", failing_store)
+        with pytest.raises(OSError, match="disk full"):
+            CampaignRunner(TINY, store=store, paths=("steady",)).run()
 
 
 class TestDeterminismParity:

@@ -1,9 +1,13 @@
 """Runner layer of the scenario subsystem: builders, paths, artifacts."""
 
 import json
+import os
+import threading
+import time
 
 import pytest
 
+import repro.thermal.factorization as factorization_module
 from repro.errors import ConfigurationError
 from repro.methodology import SweepEngine, ThermalRequest
 from repro.scenarios import (
@@ -19,6 +23,21 @@ from repro.scenarios import (
     default_registry,
 )
 from repro.scenarios.spec import ChipSpec, MeshSpec, NetworkSpec
+from repro.thermal import (
+    FactorizationCache,
+    cancel_prefetches,
+    clear_factorization_cache,
+    prefetch,
+)
+
+
+def wait_for(condition, timeout_s=10.0):
+    deadline = time.monotonic() + timeout_s
+    while not condition():
+        if time.monotonic() > deadline:
+            return False
+        time.sleep(0.005)
+    return True
 
 
 @pytest.fixture(scope="module")
@@ -316,3 +335,100 @@ class TestGoldenComparison:
         drifted["spec_hash"] = "0" * 64
         mismatches = compare_artifact_dicts(small_artifact.to_dict(), drifted)
         assert any("spec_hash" in m for m in mismatches)
+
+
+class TestTransientPrefetch:
+    """The transient stepper LUs start on the LU threads before the steady
+    path; that must change nothing but the time it takes."""
+
+    @staticmethod
+    def recorded_prefetches(monkeypatch):
+        builds = []
+        original = SweepEngine.prefetch_transient
+
+        def recording(self, *args, **kwargs):
+            started = original(self, *args, **kwargs)
+            builds.extend(started)
+            return started
+
+        monkeypatch.setattr(SweepEngine, "prefetch_transient", recording)
+        return builds
+
+    @staticmethod
+    def counted_run(spec, monkeypatch):
+        """Artifact JSON, splu call count and requested keys of a cold run."""
+        calls, keys = [], []
+        original_splu = factorization_module.splu
+        original_factorize = FactorizationCache.factorize
+
+        def counting_splu(*args, **kwargs):
+            calls.append(1)
+            return original_splu(*args, **kwargs)
+
+        def recording_factorize(self, matrix, key=None):
+            result = original_factorize(self, matrix, key)
+            keys.append(result[1])
+            return result
+
+        monkeypatch.setattr(factorization_module, "splu", counting_splu)
+        monkeypatch.setattr(FactorizationCache, "factorize", recording_factorize)
+        clear_factorization_cache()
+        runner = ScenarioRunner(spec)
+        artifact = runner.run(ALL_PATHS)
+        clear_factorization_cache()
+        return artifact.to_json(), len(calls), keys, runner.engine().stats
+
+    def test_prefetch_changes_no_result(self, small_spec, monkeypatch):
+        with monkeypatch.context() as patch:
+            patch.setattr(SweepEngine, "prefetch_transient", lambda *a, **k: [])
+            plain = self.counted_run(small_spec, patch)
+        builds = self.recorded_prefetches(monkeypatch)
+        prefetched = self.counted_run(small_spec, monkeypatch)
+        assert len(builds) == 1 and builds[0].done()
+        assert prefetched[0] == plain[0]  # byte-identical artifact
+        # One splu per distinct matrix (meshes and step sizes), as without.
+        assert prefetched[1] == plain[1] == len(set(prefetched[2]))
+        for name in ("factorizations_built", "factorizations_reused"):
+            assert getattr(prefetched[3], name) == getattr(plain[3], name)
+
+    def test_failed_spec_cancels_queued_prefetches(self, small_spec, monkeypatch):
+        release = threading.Event()
+        started = []
+
+        def blocked_matrix():
+            started.append(1)
+            release.wait()
+            raise RuntimeError("blocker")
+
+        limit = max(2, os.cpu_count() or 1)
+        blockers = [prefetch(blocked_matrix, f"blocker-{n}") for n in range(limit)]
+        builds = self.recorded_prefetches(monkeypatch)
+
+        def failing_steady(self, request, flow_key=None):
+            raise RuntimeError("steady path failed")
+
+        try:
+            assert wait_for(lambda: len(started) == limit)
+            with monkeypatch.context() as patch:
+                patch.setattr(SweepEngine, "evaluate_one", failing_steady)
+                with pytest.raises(RuntimeError, match="steady path failed"):
+                    ScenarioRunner(small_spec).run(ALL_PATHS)
+            assert len(builds) == 1 and builds[0].cancelled()
+        finally:
+            release.set()
+            cancel_prefetches(blockers)
+        # The cancelled build is not served: the next run factorises afresh.
+        artifact = ScenarioRunner(small_spec).run(ALL_PATHS)
+        assert artifact.section("transient") is not None
+
+    def test_failed_spec_waits_for_running_prefetches(self, small_spec, monkeypatch):
+        builds = self.recorded_prefetches(monkeypatch)
+
+        def failing_steady(self, request, flow_key=None):
+            raise RuntimeError("steady path failed")
+
+        monkeypatch.setattr(SweepEngine, "evaluate_one", failing_steady)
+        clear_factorization_cache()
+        with pytest.raises(RuntimeError, match="steady path failed"):
+            ScenarioRunner(small_spec).run(ALL_PATHS)
+        assert len(builds) == 1 and builds[0].done()

@@ -1,6 +1,10 @@
 """Tests for the finite-volume assembly, the steady-state solver and its
 validation against analytic conduction problems."""
 
+import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
@@ -267,6 +271,39 @@ class TestSolveMany:
         solver.solve([source])
         second = solver.last_diagnostics
         assert second.method == "ilu_cg" and second.factorization_reused is True
+
+    def test_iterative_preconditioner_is_freed_where_it_was_built(self, monkeypatch):
+        # spilu returns a SuperLU object too: it must be built and freed on
+        # the same LU thread, wherever the solver is used and dropped.
+        import repro.thermal.factorization as factorization_module
+
+        freed = []
+
+        class Preconditioner:
+            def __init__(self):
+                self.built_on = threading.get_ident()
+
+            def solve(self, rhs):
+                return rhs
+
+            def __del__(self):
+                freed.append((self.built_on, threading.get_ident()))
+
+        monkeypatch.setattr(
+            factorization_module, "spilu", lambda *args, **kwargs: Preconditioner()
+        )
+        mesh, boundaries, source, _ = slab_problem()
+        solver = SteadyStateSolver(mesh, boundaries, direct_cell_limit=1)
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            pool.submit(solver.solve, [source]).result()
+        assert solver.last_diagnostics.method == "ilu_cg"
+        del solver
+        deadline = time.monotonic() + 10.0
+        while not freed and time.monotonic() < deadline:
+            time.sleep(0.005)
+        assert len(freed) == 1
+        built_on, freed_on = freed[0]
+        assert freed_on == built_on != threading.get_ident()
 
     def test_iterative_non_convergence_raises(self, monkeypatch):
         import repro.thermal.solver as solver_module

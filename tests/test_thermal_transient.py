@@ -268,6 +268,49 @@ class TestFactorizationReuse:
         assert np.any(np.isclose(result.times_s, 1.0))
         assert result.times_s[-1] == pytest.approx(1.7)
 
+    def test_prefetch_leaves_the_solve_unchanged(self, monkeypatch):
+        import repro.thermal.factorization as factorization_module
+
+        mesh, boundaries, source, _ = slab_problem()
+        schedule = SourceSchedule(
+            [
+                ScheduleSegment(1.0, (source,)),
+                ScheduleSegment(0.7, (source.with_power(2.0),)),
+                ScheduleSegment(1.0, (source,)),
+            ]
+        )
+        reference = TransientSolver(mesh, boundaries).solve(schedule, dt_s=0.4)
+
+        calls = []
+        original = factorization_module.splu
+
+        def counting_splu(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(factorization_module, "splu", counting_splu)
+        factorization_module.clear_factorization_cache()
+        solver = TransientSolver(mesh, boundaries)
+        builds = solver.prefetch(
+            [segment.duration_s for segment in schedule], dt_s=0.4
+        )
+        assert len(builds) == 2  # one per distinct effective step
+        assert solver.cached_factorizations == 0
+        result = solver.solve(schedule, dt_s=0.4)
+        assert len(calls) == 2  # each stepper LU built once, by the prefetch
+        assert all(build.done() for build in builds)
+        assert (
+            result.diagnostics.factorizations_computed
+            == reference.diagnostics.factorizations_computed
+            == 2
+        )
+        np.testing.assert_array_equal(
+            result.final_map.temperatures_c, reference.final_map.temperatures_c
+        )
+        # Steppers this instance already holds are not prefetched again.
+        assert solver.prefetch([1.0, 0.7], dt_s=0.4) == []
+        factorization_module.clear_factorization_cache()
+
 
 class TestProbesAndSnapshots:
     def test_probe_series_and_multi_box_mean(self):

@@ -348,10 +348,11 @@ class VcselModel:
     ) -> VcselOperatingPointBatch:
         """Vectorized :meth:`operating_point` over broadcastable input arrays.
 
-        The damped self-heating fixed point runs element-wise: each element
-        is frozen as soon as its own junction temperature converges, so every
-        element follows exactly the iteration it would follow under the
-        scalar method, independent of the other batch elements.
+        The damped self-heating fixed point runs element-wise: every
+        iteration updates whole arrays, but an element's junction temperature
+        is frozen as soon as it converges, so every element follows exactly
+        the iteration it would follow under the scalar method, independent of
+        the other batch elements.
         """
         current = np.asarray(current_a, dtype=float)
         base = np.asarray(base_temperature_c, dtype=float)
@@ -375,16 +376,13 @@ class VcselModel:
         for _ in range(max_iterations):
             if not active.any():
                 break
-            optical = self._optical_power_at_junction_array(
-                current[active], junction[active]
-            )
-            dissipated = np.maximum(electrical[active] - optical, 0.0)
-            target = base[active] + self._p.thermal_resistance_k_per_w * dissipated
-            new_junction = junction[active] + damping * (target - junction[active])
-            converged = np.abs(new_junction - junction[active]) < tolerance_c
-            junction[active] = new_junction
-            flat_active = active.reshape(-1)
-            flat_active[np.flatnonzero(flat_active)[converged]] = False
+            optical = self._optical_power_at_junction_array(current, junction)
+            dissipated = np.maximum(electrical - optical, 0.0)
+            target = base + self._p.thermal_resistance_k_per_w * dissipated
+            new_junction = junction + damping * (target - junction)
+            converged = np.abs(new_junction - junction) < tolerance_c
+            np.copyto(junction, new_junction, where=active)
+            active &= ~converged
         if active.any():
             raise DeviceError(
                 "VCSEL self-heating iteration did not converge; check the "

@@ -70,9 +70,78 @@ class BoxOverlap:
         )
 
 
+@dataclass(frozen=True)
+class BoxRaster:
+    """Overlap of an ordered box list with a mesh, flattened to entries.
+
+    Entry ``e`` records that box ``owners[e]`` overlaps the cell with
+    row-major flat index ``cells[e]`` by ``volumes[e]`` [m^3].  Entries are
+    grouped by box in list order, so a ``np.bincount`` over ``cells`` sums
+    each cell's terms in box order.  ``totals[b]`` is the overlap volume of
+    box ``b`` (0.0 when it misses the mesh), rounded exactly as
+    :attr:`BoxOverlap.total_volume`; the volumes equal
+    :meth:`BoxOverlap.volumes` element for element.
+    """
+
+    cells: np.ndarray
+    volumes: np.ndarray
+    owners: np.ndarray
+    totals: np.ndarray
+
+
 #: Cache sentinel for "this box does not overlap the mesh" (LruCache treats
 #: ``None`` as a miss, so the negative outcome needs its own marker).
 _NO_OVERLAP = object()
+
+
+def _axis_windows(
+    ticks: np.ndarray, lower: np.ndarray, upper: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Bisected ``[start, stop)`` cell windows of intervals along one axis.
+
+    The same windows as :meth:`Mesh3D.box_overlap_profile`; an interval
+    misses the axis when ``start >= stop``.
+    """
+    start = np.maximum(np.searchsorted(ticks, lower, side="right") - 1, 0)
+    stop = np.minimum(np.searchsorted(ticks, upper, side="left"), ticks.size - 1)
+    return start, stop
+
+
+def _axis_runs(
+    ticks: np.ndarray,
+    lower: np.ndarray,
+    upper: np.ndarray,
+    start: np.ndarray,
+    counts: np.ndarray,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-box overlap runs along one axis, concatenated in box order.
+
+    Box ``b`` owns the ``counts[b]`` entries from ``first[b]`` on of the
+    returned ``(first, cells, lengths)``: axis cell indices from
+    ``start[b]`` on, and their overlap lengths.  The lengths come from the
+    same operations as :meth:`Mesh3D.box_overlap_profile`, so they are
+    bitwise equal to its profiles.
+    """
+    first = np.cumsum(counts) - counts
+    cells = np.repeat(start - first, counts) + np.arange(int(counts.sum()))
+    ends = np.minimum(ticks[cells + 1], np.repeat(upper, counts))
+    starts = np.maximum(ticks[cells], np.repeat(lower, counts))
+    return first, cells, np.clip(ends - starts, 0.0, None)
+
+
+def _run_sums(counts: np.ndarray, first: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """``lengths[first[b]:first[b] + counts[b]].sum()`` for every box ``b``.
+
+    Runs of equal length are summed together as the rows of one contiguous
+    2-D array, which rounds each row exactly like a 1-D ``ndarray.sum()``
+    (``np.add.reduceat`` does not).
+    """
+    sums = np.zeros(counts.size)
+    for count in np.unique(counts[counts > 0]):
+        boxes = np.flatnonzero(counts == count)
+        rows = lengths[first[boxes][:, None] + np.arange(count)]
+        sums[boxes] = rows.sum(axis=1)
+    return sums
 
 
 @dataclass(frozen=True)
@@ -209,6 +278,11 @@ class Mesh3D:
         #: LRU: large sweeps over moving probe windows must not accumulate
         #: profiles without limit.
         self._overlap_profiles: LruCache[object] = LruCache(max_entries=4096)
+        #: Ordered box coordinates -> BoxRaster.  A source set is projected
+        #: again for every new set of powers (sweep points, batch columns,
+        #: schedule segments) while its geometry stays put, and a spec only
+        #: uses a few geometries per mesh.
+        self._box_rasters: LruCache[BoxRaster] = LruCache(max_entries=8)
 
     @property
     def has_heat_capacity(self) -> bool:
@@ -343,13 +417,6 @@ class Mesh3D:
 
     # Overlap helpers ---------------------------------------------------------
 
-    @staticmethod
-    def _axis_overlap(ticks: np.ndarray, lower: float, upper: float) -> np.ndarray:
-        """Per-cell overlap lengths of the interval [lower, upper] with an axis."""
-        starts = np.maximum(ticks[:-1], lower)
-        ends = np.minimum(ticks[1:], upper)
-        return np.clip(ends - starts, 0.0, None)
-
     def box_overlap_profile(self, box: Box) -> Optional["BoxOverlap"]:
         """Separable overlap of ``box`` with the mesh, trimmed to its sub-box.
 
@@ -415,6 +482,72 @@ class Mesh3D:
                 profile.volumes()
             )
         return volumes
+
+    def box_raster(self, boxes: Sequence[Box]) -> BoxRaster:
+        """Overlap of the ordered ``boxes`` with the mesh as flat entries.
+
+        Memoised per mesh on the box coordinates in order, so projecting
+        the same geometry with new weights (powers) is one ``bincount``
+        over the cached entries.
+        """
+        key = tuple(
+            (box.x_min, box.x_max, box.y_min, box.y_max, box.z_min, box.z_max)
+            for box in boxes
+        )
+        raster = self._box_rasters.get(key)
+        if raster is None:
+            raster = self._compile_raster(np.array(key, dtype=float).reshape(-1, 6))
+            self._box_rasters.put(key, raster)
+        return raster
+
+    def _compile_raster(self, coords: np.ndarray) -> BoxRaster:
+        """Build the :class:`BoxRaster` of boxes given as ``(n, 6)`` coordinates.
+
+        All boxes are processed at once: per-axis runs of overlapped cells
+        are expanded to one entry per overlapped cell, box by box, with the
+        x index outermost and z innermost.
+        """
+        axes = (self.x_ticks, self.y_ticks, self.z_ticks)
+        lowers = [coords[:, 2 * axis] for axis in range(3)]
+        uppers = [coords[:, 2 * axis + 1] for axis in range(3)]
+        windows = [
+            _axis_windows(ticks, lower, upper)
+            for ticks, lower, upper in zip(axes, lowers, uppers)
+        ]
+        # A flat box overlaps no volume, even when its window is non-empty.
+        hit = np.ones(coords.shape[0], dtype=bool)
+        for (start, stop), lower, upper in zip(windows, lowers, uppers):
+            hit &= (stop > start) & (upper > lower)
+        counts, firsts, axis_cells, lengths, sums = [], [], [], [], []
+        for ticks, lower, upper, (start, stop) in zip(axes, lowers, uppers, windows):
+            count = np.where(hit, stop - start, 0)
+            first, cells, length = _axis_runs(ticks, lower, upper, start, count)
+            counts.append(count)
+            firsts.append(first)
+            axis_cells.append(cells)
+            lengths.append(length)
+            sums.append(_run_sums(count, first, length))
+        # Per-cell entries, box by box: decompose each entry's offset within
+        # its box into (ix, iy, iz) over the box's run lengths.
+        n_x, n_y, n_z = counts
+        box_cells = n_x * n_y * n_z
+        owners = np.repeat(np.arange(coords.shape[0]), box_cells)
+        offsets = np.arange(owners.size) - (np.cumsum(box_cells) - box_cells)[owners]
+        ix, rest = np.divmod(offsets, (n_y * n_z)[owners])
+        iy, iz = np.divmod(rest, n_z[owners])
+        at = [firsts[0][owners] + ix, firsts[1][owners] + iy, firsts[2][owners] + iz]
+        i, j, k = (cells[index] for cells, index in zip(axis_cells, at))
+        raster = BoxRaster(
+            cells=(i * self.ny + j) * self.nz + k,
+            # Same products, in the same order, as BoxOverlap.volumes and
+            # BoxOverlap.total_volume; boxes that miss get total 0.0.
+            volumes=lengths[0][at[0]] * lengths[1][at[1]] * lengths[2][at[2]],
+            owners=owners,
+            totals=sums[0] * sums[1] * sums[2],
+        )
+        for array in (raster.cells, raster.volumes, raster.owners, raster.totals):
+            array.setflags(write=False)
+        return raster
 
 
 class MeshBuilder:

@@ -158,20 +158,32 @@ def power_density_field(mesh: Mesh3D, sources: Iterable[HeatSource]) -> np.ndarr
     """Per-cell dissipated power [W], shape ``(nx, ny, nz)``.
 
     Power of each source is split over cells proportionally to the overlap
-    volume; a source entirely outside the mesh raises :class:`SolverError`
-    because silently dropping power would corrupt the energy balance.
+    volume; a source with nonzero power entirely outside the mesh raises
+    :class:`SolverError` because silently dropping power would corrupt the
+    energy balance.  The source geometry is rasterised once per mesh
+    (:meth:`Mesh3D.box_raster`); each call is then one ``bincount``, which
+    adds every cell's terms in source order.
     """
-    field = np.zeros(mesh.shape, dtype=float)
-    for source in sources:
-        if source.power_w == 0.0:
-            continue
-        profile = mesh.box_overlap_profile(source.box)
-        total_overlap = profile.total_volume if profile is not None else 0.0
-        if profile is None or total_overlap <= 0.0:
-            raise SolverError(
-                f"heat source {source.name!r} does not overlap the thermal mesh"
-            )
-        field[profile.x_slice, profile.y_slice, profile.z_slice] += (
-            profile.volumes() * (source.power_w / total_overlap)
+    sources = list(sources)
+    raster = mesh.box_raster([source.box for source in sources])
+    powers = np.array([source.power_w for source in sources], dtype=float)
+    overlapping = raster.totals > 0.0
+    missing = np.flatnonzero((powers != 0.0) & ~overlapping)
+    if missing.size:
+        raise SolverError(
+            f"heat source {sources[missing[0]].name!r} does not overlap the thermal mesh"
         )
-    return field
+    if raster.cells.size == 0:
+        # np.bincount would return integers for an empty input.
+        return np.zeros(mesh.shape, dtype=float)
+    # Overflows to inf silently, like the Python float division it replaces.
+    with np.errstate(over="ignore"):
+        scales = np.divide(
+            powers, raster.totals, out=np.zeros_like(powers), where=overlapping
+        )
+    field = np.bincount(
+        raster.cells,
+        weights=raster.volumes * scales[raster.owners],
+        minlength=mesh.n_cells,
+    )
+    return field.reshape(mesh.shape)

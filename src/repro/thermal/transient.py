@@ -485,11 +485,6 @@ class TransientSolver:
         self._rom_bases: LruCache[ReducedBasis] = LruCache(max_entries=4)
         #: Galerkin projections (``VᵀKV`` etc.) by basis content key.
         self._rom_models: LruCache[ReducedModel] = LruCache(max_entries=4)
-        #: Source-set content -> rasterised load vector [W per cell].  A
-        #: schedule projects each segment's sources onto the mesh; sweeps
-        #: re-integrating the same trace (and traces revisiting a power
-        #: state) skip the rasterisation entirely.
-        self._source_loads: LruCache[np.ndarray] = LruCache(max_entries=32)
         #: Content key of the assembled operator matrix, computed lazily.
         self._matrix_key: Optional[str] = None
 
@@ -635,33 +630,6 @@ class TransientSolver:
         return [
             (segment, *_equal_steps(segment.duration_s, dt_s)) for segment in schedule
         ]
-
-    def _source_load(self, sources: Sequence[HeatSource]) -> np.ndarray:
-        """Flattened rasterised power load of a source set [W per cell].
-
-        Memoised on the sources' field-relevant content (box and power, in
-        order — the accumulation order fixes the floating-point rounding),
-        so re-integrating a trace or revisiting a power state never
-        re-projects the geometry.  Callers must not mutate the returned
-        array (`solve` always adds the boundary load, which copies).
-        """
-        key = tuple(
-            (
-                source.power_w,
-                source.box.x_min,
-                source.box.x_max,
-                source.box.y_min,
-                source.box.y_max,
-                source.box.z_min,
-                source.box.z_max,
-            )
-            for source in sources
-        )
-        load = self._source_loads.get(key)
-        if load is None:
-            load = power_density_field(self._mesh, sources).ravel()
-            self._source_loads.put(key, load)
-        return load
 
     # Reduced-order plumbing -------------------------------------------------------
 
@@ -961,7 +929,8 @@ class TransientSolver:
         factorizations_before = self._factorizations_total
         initial = self._initial_field(initial_temperature_c)
         segment_loads = [
-            self._source_load(segment.sources) + self._boundary_rhs
+            power_density_field(self._mesh, segment.sources).ravel()
+            + self._boundary_rhs
             for segment, _, _ in plan
         ]
 

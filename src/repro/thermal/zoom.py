@@ -19,15 +19,19 @@ coarse map smears out, at a tiny fraction of the cost of a flat fine mesh.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Optional
+from typing import Iterable, List, Optional, Tuple
 
+from ..caching import LruCache
 from ..errors import SolverError
 from ..geometry import Box, LayerStack, Rect
 from .boundary import BoundaryConditions, FaceCondition
-from .mesh import MeshBuilder
+from .mesh import Mesh3D, MeshBuilder
 from .solver import SteadyStateSolver
 from .sources import HeatSource
 from .thermal_map import ThermalMap
+
+#: Zoom windows whose (mesh, solver) a :class:`ZoomSolver` keeps.
+WINDOW_CACHE_SIZE = 4
 
 
 @dataclass(frozen=True)
@@ -119,7 +123,11 @@ class ZoomSolver:
         self._vertical_range = vertical_range
         # Cache of (mesh, solver) per zoom window so repeated solves around the
         # same ONI (design-space sweeps) reuse the matrix factorisation.
-        self._window_cache: dict = {}
+        # Bounded: each entry holds a fine mesh and its factorised solver, and
+        # a resident service may zoom around ever new windows.
+        self._window_cache: LruCache[Tuple[Mesh3D, SteadyStateSolver]] = LruCache(
+            max_entries=WINDOW_CACHE_SIZE
+        )
 
     def _window(self, region: Rect) -> Rect:
         expanded = region.expanded(self._margin_m)
@@ -211,7 +219,7 @@ class ZoomSolver:
                 self._boundaries(coarse_map),
                 direct_cell_limit=self._direct_cell_limit,
             )
-            self._window_cache[cache_key] = (mesh, solver)
+            self._window_cache.put(cache_key, (mesh, solver))
         else:
             mesh, solver = cached
             # Same geometry, new coarse solution: only the imposed boundary

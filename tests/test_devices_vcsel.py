@@ -166,6 +166,55 @@ class TestBatchedEvaluation:
         assert spot.base_temperature_c == 40.0
         assert spot.is_lasing
 
+    def test_operating_points_over_mixed_convergence(self, vcsel):
+        # Zero current converges in one iteration, the others in 22-29
+        # depending on bias and temperature: elements that converge early
+        # must stay frozen while the rest keep iterating.
+        currents = np.linspace(0.0, vcsel.parameters.max_current_a, 7)[:, None]
+        temperatures = np.array([20.0, 45.0, 70.0, 95.0])
+        batch = vcsel.operating_points(currents, temperatures)
+        fields = (
+            "junction_temperature_c",
+            "optical_power_w",
+            "dissipated_power_w",
+            "wall_plug_efficiency",
+        )
+        iterations = set()
+        for (i, j), _ in np.ndenumerate(batch.junction_temperature_c):
+            current, temperature = float(currents[i, 0]), float(temperatures[j])
+            # Bit for bit what the element gives on its own.
+            alone = vcsel.operating_points(current, temperature)
+            for field in fields:
+                assert getattr(batch, field)[i, j] == getattr(alone, field)
+            # The scalar method's iteration: it converges after exactly as
+            # many steps, to the same point up to the last bits of math.exp
+            # against np.exp.
+            point = vcsel.operating_point(current, temperature)
+            for field in fields:
+                assert getattr(batch, field)[i, j] == pytest.approx(
+                    getattr(point, field), rel=1e-12, abs=0.0
+                )
+            count = next(
+                limit
+                for limit in range(1, 200)
+                if self._converges(vcsel.operating_point, current, temperature, limit)
+            )
+            assert self._converges(vcsel.operating_points, current, temperature, count)
+            if count > 1:
+                assert not self._converges(
+                    vcsel.operating_points, current, temperature, count - 1
+                )
+            iterations.add(count)
+        assert min(iterations) == 1 and len(iterations) >= 5
+
+    @staticmethod
+    def _converges(method, current, temperature, limit):
+        try:
+            method(current, temperature, max_iterations=limit)
+        except DeviceError:
+            return False
+        return True
+
     def test_operating_points_broadcast_currents_and_temperatures(self, vcsel):
         currents = np.array([[2.0e-3], [6.0e-3]])
         temperatures = np.array([40.0, 50.0, 60.0])

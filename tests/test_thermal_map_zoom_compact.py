@@ -145,6 +145,25 @@ class TestZoomSolver:
         zoom.solve(coarse_map, region, [sources[0].scaled(0.5), sources[1]])
         assert len(zoom._window_cache) == 1
 
+    def test_zoom_window_cache_is_bounded(self):
+        stack, boundaries, coarse_map, sources = solved_problem()
+        zoom = ZoomSolver(stack, boundaries, cell_size_um=250.0, margin_um=250.0)
+        capacity = zoom._window_cache.max_entries
+        regions = [
+            Rect.from_size_mm(0.5 + 0.5 * index, 2.5, 1.0, 1.0)
+            for index in range(capacity + 2)
+        ]
+        first = zoom.solve(coarse_map, regions[0], sources).thermal_map
+        for region in regions[1:]:
+            zoom.solve(coarse_map, region, sources)
+        assert len(zoom._window_cache) == capacity
+        again = zoom.solve(coarse_map, regions[0], sources).thermal_map
+        assert len(zoom._window_cache) == capacity
+        # Evicted, so rebuilt from scratch: a new mesh, the same numbers.
+        assert again.mesh is not first.mesh
+        assert np.array_equal(again.mesh.x_ticks, first.mesh.x_ticks)
+        assert np.array_equal(again.temperatures_c, first.temperatures_c)
+
     def test_vertical_range_zoom(self):
         stack, boundaries, coarse_map, sources = solved_problem()
         zoom = ZoomSolver(

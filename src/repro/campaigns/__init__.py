@@ -5,9 +5,9 @@ execution substrate *pluggable* and the replays *incremental*: a
 :class:`ScenarioMatrix` expands a base :class:`~repro.scenarios.ScenarioSpec`
 over declared axes into deduplicated concrete specs; the
 :class:`CampaignRunner` composes the pure :class:`EvaluationKernel` with an
-:class:`Executor` strategy (serial / process pool / async in-process /
-queue-fed remote-worker simulator with crash-retry supervision); and the
-content-addressed :class:`ArtifactStore` — behind a flat or sharded
+:class:`Executor` strategy (serial, or a supervised process pool with
+crash/timeout/retry handling); and the content-addressed
+:class:`ArtifactStore` — behind a flat or sharded
 directory :class:`~repro.campaigns.backends.StoreBackend` — persists every
 artifact on disk so re-running a campaign only computes specs whose content
 hash is new.  Every executor is pinned byte-identical to serial by the
@@ -33,7 +33,6 @@ from .executors import (
     ExecutionResult,
     Executor,
     ProcessExecutor,
-    QueueExecutor,
     SerialExecutor,
     WorkItem,
     make_executor,
@@ -77,7 +76,6 @@ __all__ = [
     "FlatDirBackend",
     "MatrixAxis",
     "ProcessExecutor",
-    "QueueExecutor",
     "ScenarioMatrix",
     "SerialExecutor",
     "ServiceServer",

@@ -4,9 +4,8 @@ Subcommands
 -----------
 ``run CAMPAIGN``
     Expand a built-in matrix and execute it (optionally against a persistent
-    ``--store``, fanned out over the ``--executor`` strategy of choice —
-    serial, process pool, async in-process or the supervised queue-worker
-    simulator — sized by ``--workers``); prints the cross-scenario summary
+    ``--store``, run serially or over the supervised process pool —
+    ``--executor``, sized by ``--workers``); prints the cross-scenario summary
     table, any per-spec failure provenance, and optionally writes the full
     report JSON with ``--output``; ``--transient-method`` selects the
     transient integration path and ``--warm-start`` ships the store's reduced
@@ -494,7 +493,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="store directory layout (default: auto-detect, flat for new stores)",
     )
     run.add_argument(
-        "--workers", type=int, default=None, help="executor worker/concurrency width"
+        "--workers", type=int, default=None, help="process-pool width"
     )
     run.add_argument(
         "--executor",
@@ -512,13 +511,14 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-retries",
         type=int,
         default=2,
-        help="bounded per-spec retries of the queue executor (default: 2)",
+        help="bounded per-spec retries of the process executor (default: 2)",
     )
     run.add_argument(
         "--timeout",
         type=float,
         default=None,
-        help="per-spec deadline [s] of the queue executor (hung workers are killed)",
+        help="per-spec deadline [s] of the process executor (hung workers are "
+        "killed); needs --workers > 1 or --executor process",
     )
     run.add_argument(
         "--paths",
@@ -612,7 +612,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="store directory layout (default: auto-detect, flat for new stores)",
     )
     trace.add_argument(
-        "--workers", type=int, default=None, help="executor worker/concurrency width"
+        "--workers", type=int, default=None, help="process-pool width"
     )
     trace.add_argument(
         "--executor",

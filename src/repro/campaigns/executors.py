@@ -1,25 +1,21 @@
 """Execution strategies: fan a kernel over campaign work items.
 
 An :class:`Executor` turns ``(kernel, work items)`` into a stream of
-:class:`ExecutionResult` objects.  Four substrates implement the same
+:class:`ExecutionResult` objects.  Two substrates implement the same
 contract, and the executor-conformance suite asserts they are
 interchangeable byte for byte:
 
 * :class:`SerialExecutor` — in-process, in submission order; the reference
-  every other executor is compared against;
-* :class:`ProcessExecutor` — a :class:`concurrent.futures.ProcessPoolExecutor`
-  fan-out (the historical ``workers=N`` path), results yielded in submission
-  order as they complete;
-* :class:`AsyncExecutor` — an asyncio event loop dispatching kernel calls to
-  a small thread pool; the in-process shape the evaluation service will run
-  on (specs are pure and content-cached per runner, so threads cannot change
-  a byte of any artifact);
-* :class:`QueueExecutor` — a local-queue "remote worker" simulator: worker
-  *processes* fed over per-worker task queues with supervision — crashed
-  workers are detected and respawned, hung workers are killed on a deadline,
-  failed tasks are retried a bounded number of times and a spec that keeps
-  failing is quarantined with its full incident history instead of sinking
-  the campaign.
+  the process pool is compared against;
+* :class:`ProcessExecutor` — supervised worker *processes* fed over
+  per-worker task queues: crashed workers are detected and respawned, hung
+  workers are killed on a deadline, failed tasks are retried a bounded
+  number of times and a spec that keeps failing is quarantined with its
+  full incident history instead of sinking the campaign.
+
+:class:`AsyncExecutor` is not a registry strategy: it is the evaluation
+service's dispatch (:mod:`repro.campaigns.service`), an awaitable that runs
+kernel calls on a thread pool while the service's event loop keeps serving.
 
 Executors never raise for a failing spec: every work item produces exactly
 one :class:`ExecutionResult` carrying either the artifact or the failure
@@ -36,7 +32,6 @@ import multiprocessing
 import queue as queue_module
 import time
 from collections import deque
-from concurrent.futures import ProcessPoolExecutor as _FuturesProcessPool
 from concurrent.futures import ThreadPoolExecutor as _FuturesThreadPool
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple, Union
@@ -47,7 +42,11 @@ from ..log import get_logger
 from .kernel import EvaluationKernel
 
 #: Executor registry names, in documentation order.
-EXECUTOR_NAMES: Tuple[str, ...] = ("serial", "process", "async", "queue")
+EXECUTOR_NAMES: Tuple[str, ...] = ("serial", "process")
+
+#: How long the supervisor waits for one result before it checks worker
+#: health and deadlines [s].
+POLL_S = 0.02
 
 logger = get_logger("executors")
 
@@ -124,6 +123,17 @@ class Executor:
         raise NotImplementedError
 
 
+def _run(kernel: EvaluationKernel, item: WorkItem) -> ExecutionResult:
+    """One in-process kernel call; a failing spec becomes its result."""
+    try:
+        artifact, stats, payload = kernel.run(item.spec_dict)
+    except Exception as error:
+        return ExecutionResult(
+            item, incidents=[_incident(1, type(error).__name__, str(error))]
+        )
+    return ExecutionResult(item, artifact, stats, payload)
+
+
 class SerialExecutor(Executor):
     """In-process, in submission order — the conformance reference."""
 
@@ -134,142 +144,50 @@ class SerialExecutor(Executor):
     ) -> Iterator[ExecutionResult]:
         for item in items:
             telemetry.count("executor.dispatches")
-            try:
-                artifact, stats, payload = kernel.run(item.spec_dict)
-            except Exception as error:
+            result = _run(kernel, item)
+            if not result.ok:
                 telemetry.count("executor.failures")
-                yield ExecutionResult(
-                    item,
-                    incidents=[_incident(1, type(error).__name__, str(error))],
-                )
-            else:
-                yield ExecutionResult(item, artifact, stats, payload)
+            yield result
 
 
-class ProcessExecutor(Executor):
-    """Process-pool fan-out (one fresh runner per spec, one spec per task).
+class AsyncExecutor:
+    """The evaluation service's dispatch: kernel calls on a thread pool.
 
-    A worker that dies (``BrokenProcessPool``) fails the item it was
-    computing *with that item's provenance*; the pool is not retried — the
-    :class:`QueueExecutor` is the substrate with crash-recovery semantics.
+    :meth:`execute_async` runs on the *caller's* event loop, so the service
+    keeps accepting requests while kernels compute.  Compute is GIL-bound,
+    so this buys overlap with I/O (store reads, network handlers), not
+    parallel solves — and because every kernel call builds its own runner,
+    concurrency cannot change a byte of any artifact.
     """
-
-    name = "process"
-
-    def __init__(self, workers: int = 4) -> None:
-        if workers < 1:
-            raise ConfigurationError("process executor needs workers >= 1")
-        self.workers = workers
-
-    def execute(
-        self, kernel: EvaluationKernel, items: Sequence[WorkItem]
-    ) -> Iterator[ExecutionResult]:
-        if len(items) == 1 or self.workers == 1:
-            yield from SerialExecutor().execute(kernel, items)
-            return
-        with _FuturesProcessPool(
-            max_workers=min(self.workers, len(items))
-        ) as pool:
-            futures = [
-                pool.submit(kernel.run, item.spec_dict) for item in items
-            ]
-            telemetry.count("executor.dispatches", len(items))
-            for item, future in zip(items, futures):
-                try:
-                    artifact, stats, payload = future.result()
-                except Exception as error:
-                    telemetry.count("executor.failures")
-                    yield ExecutionResult(
-                        item,
-                        incidents=[
-                            _incident(1, type(error).__name__, str(error))
-                        ],
-                    )
-                else:
-                    yield ExecutionResult(item, artifact, stats, payload)
-
-
-class AsyncExecutor(Executor):
-    """Asyncio in-process executor (kernel calls on a small thread pool).
-
-    The shape the long-running evaluation service runs on: an event loop
-    owns the campaign, kernel calls are awaited concurrently.  Compute is
-    GIL-bound, so this buys overlap with I/O (store reads, network
-    handlers), not parallel solves — and because every kernel call builds
-    its own runner, concurrency cannot change a byte of any artifact.
-
-    Two entry points share one implementation: the synchronous
-    :meth:`execute` (the :class:`Executor` contract) spins up its own event
-    loop via :func:`asyncio.run`, while the awaitable :meth:`execute_async`
-    runs on the *caller's* loop — the path the evaluation service
-    (:mod:`repro.campaigns.service`) drives, where ``asyncio.run`` would
-    raise ``RuntimeError``.  :meth:`execute` detects a running loop and
-    fails with a clear :class:`~repro.errors.ConfigurationError` instead of
-    letting that ``RuntimeError`` escape from deep inside asyncio.
-    """
-
-    name = "async"
 
     def __init__(self, concurrency: int = 4) -> None:
         if concurrency < 1:
             raise ConfigurationError("async executor needs concurrency >= 1")
         self.concurrency = concurrency
 
-    def execute(
-        self, kernel: EvaluationKernel, items: Sequence[WorkItem]
-    ) -> Iterator[ExecutionResult]:
-        try:
-            asyncio.get_running_loop()
-        except RuntimeError:
-            return iter(asyncio.run(self.execute_async(kernel, items)))
-        raise ConfigurationError(
-            "AsyncExecutor.execute cannot be called from a running event "
-            "loop (it owns its own loop via asyncio.run); await "
-            "execute_async(kernel, items) on the host loop instead"
-        )
-
     async def execute_async(
         self, kernel: EvaluationKernel, items: Sequence[WorkItem]
     ) -> List[ExecutionResult]:
-        """Awaitable form of :meth:`execute`, driven by the caller's loop.
-
-        Semantics are identical — one :class:`ExecutionResult` per item, at
-        most ``concurrency`` kernel calls in flight on the thread pool —
-        but the coroutine composes with whatever else the host loop is
-        doing (the evaluation service awaits one of these per computed
-        request, concurrently across requests).
-        """
+        """One :class:`ExecutionResult` per item, in submission order, with
+        at most ``concurrency`` kernel calls in flight on the thread pool."""
         loop = asyncio.get_running_loop()
-        semaphore = asyncio.Semaphore(self.concurrency)
-
-        def call(item: WorkItem) -> ExecutionResult:
-            try:
-                artifact, stats, payload = kernel.run(item.spec_dict)
-            except Exception as error:
-                return ExecutionResult(
-                    item,
-                    incidents=[_incident(1, type(error).__name__, str(error))],
-                )
-            return ExecutionResult(item, artifact, stats, payload)
-
         with _FuturesThreadPool(max_workers=self.concurrency) as pool:
 
             async def one(item: WorkItem) -> ExecutionResult:
-                async with semaphore:
-                    # Counted here (tasks inherit the caller's context) so
-                    # the tally lands in the campaign collector; the pool
-                    # threads do not see the coordinator's contextvars.
-                    telemetry.count("executor.dispatches")
-                    result = await loop.run_in_executor(pool, call, item)
-                    if not result.ok:
-                        telemetry.count("executor.failures")
-                    return result
+                # Counted here (tasks inherit the caller's context) so the
+                # tally lands in the caller's collector; the pool threads do
+                # not see the coordinator's contextvars.
+                telemetry.count("executor.dispatches")
+                result = await loop.run_in_executor(pool, _run, kernel, item)
+                if not result.ok:
+                    telemetry.count("executor.failures")
+                return result
 
             return list(await asyncio.gather(*(one(item) for item in items)))
 
 
-def _queue_worker(task_queue, result_queue, kernel: EvaluationKernel) -> None:
-    """Queue-worker main loop: tasks in, ``(index, attempt, ok, payload)`` out.
+def _worker_main(task_queue, result_queue, kernel: EvaluationKernel) -> None:
+    """Worker-process main loop: tasks in, ``(index, attempt, ok, payload)`` out.
 
     Runs until the ``None`` sentinel.  Exceptions are shipped back as plain
     ``(type name, message)`` pairs — never pickled exception objects, which
@@ -294,12 +212,12 @@ def _queue_worker(task_queue, result_queue, kernel: EvaluationKernel) -> None:
 
 
 class _WorkerHandle:
-    """Supervisor-side state of one queue worker process."""
+    """Supervisor-side state of one worker process."""
 
     def __init__(self, context, result_queue, kernel) -> None:
         self.task_queue = context.Queue()
         self.process = context.Process(
-            target=_queue_worker,
+            target=_worker_main,
             args=(self.task_queue, result_queue, kernel),
             daemon=True,
         )
@@ -331,14 +249,12 @@ class _WorkerHandle:
         self.task_queue.close()
 
 
-class QueueExecutor(Executor):
-    """Local-queue "remote worker" simulator with crash/timeout/retry.
+class ProcessExecutor(Executor):
+    """Supervised process pool with crash/timeout/retry semantics.
 
     Worker *processes* each consume a private task queue and post results to
-    one shared result queue — the minimal shape of a distributed campaign
-    (N workers pulling specs off a broker).  The supervisor loop adds the
-    semantics a remote fleet needs and the conformance suite injects faults
-    against:
+    one shared result queue.  The supervisor loop adds the semantics the
+    conformance suite injects faults against:
 
     * **crash detection** — a worker that dies mid-task (segfault,
       ``os._exit``, OOM-kill) is noticed via ``is_alive``, the task is
@@ -356,23 +272,22 @@ class QueueExecutor(Executor):
       outstanding, so a worker killed a microsecond after posting its result
       cannot double-complete a retried task.
 
-    Results are yielded in completion order; campaign reports are
-    order-independent by construction, so this is invisible downstream
-    (pinned by the conformance suite).
+    Workers start with the platform's default start method.  Results are
+    yielded in completion order; campaign reports are order-independent by
+    construction, so this is invisible downstream (pinned by the
+    conformance suite).
     """
 
-    name = "queue"
+    name = "process"
 
     def __init__(
         self,
-        workers: int = 2,
+        workers: int,
         max_retries: int = 2,
         timeout_s: Optional[float] = None,
-        poll_s: float = 0.02,
-        start_method: Optional[str] = None,
     ) -> None:
         if workers < 1:
-            raise ConfigurationError("queue executor needs workers >= 1")
+            raise ConfigurationError("process executor needs workers >= 1")
         if max_retries < 0:
             raise ConfigurationError("max_retries must be >= 0")
         if timeout_s is not None and timeout_s <= 0:
@@ -380,13 +295,11 @@ class QueueExecutor(Executor):
         self.workers = workers
         self.max_retries = max_retries
         self.timeout_s = timeout_s
-        self.poll_s = poll_s
-        self.start_method = start_method
 
     def execute(
         self, kernel: EvaluationKernel, items: Sequence[WorkItem]
     ) -> Iterator[ExecutionResult]:
-        context = multiprocessing.get_context(self.start_method)
+        context = multiprocessing.get_context()
         result_queue = context.Queue()
         #: (item, attempt, incidents) not yet dispatched.
         pending = deque((item, 1, []) for item in items)
@@ -430,7 +343,7 @@ class QueueExecutor(Executor):
     ) -> Optional[ExecutionResult]:
         """Receive at most one result; retry or finalise its task."""
         try:
-            index, attempt, ok, payload = result_queue.get(timeout=self.poll_s)
+            index, attempt, ok, payload = result_queue.get(timeout=POLL_S)
         except queue_module.Empty:
             return None
         record = outstanding.get(index)
@@ -485,7 +398,7 @@ class QueueExecutor(Executor):
                 )
                 telemetry.count("executor.crashes")
             logger.warning(
-                "queue worker %s on task %d (attempt %d): %s",
+                "worker process %s on task %d (attempt %d): %s",
                 "hung" if alive else "crashed",
                 index,
                 attempt,
@@ -528,30 +441,32 @@ def make_executor(
     max_retries: int = 2,
     timeout_s: Optional[float] = None,
 ) -> Executor:
-    """Resolve an executor strategy from a name, instance or legacy knobs.
+    """Resolve an executor strategy from a name, an instance or ``workers``.
 
-    ``None`` keeps the historical ``workers=N`` behaviour: a process pool
-    when ``workers > 1``, serial otherwise.  A string picks a registry
-    strategy (``serial`` / ``process`` / ``async`` / ``queue``), sized by
-    ``workers`` where that applies.  An :class:`Executor` instance passes
-    through untouched.
+    ``None`` picks the process pool when ``workers > 1`` and serial
+    otherwise.  A string picks a registry strategy (``serial`` /
+    ``process``); the process pool is ``workers`` wide (default 4) and takes
+    ``max_retries`` and ``timeout_s``.  An :class:`Executor` instance passes
+    through untouched.  A ``timeout_s`` for anything but a
+    :class:`ProcessExecutor` raises: no other executor can enforce it.
     """
     if isinstance(executor, Executor):
-        return executor
-    if executor is None:
-        if workers is not None and workers > 1:
-            return ProcessExecutor(workers)
-        return SerialExecutor()
-    if executor == "serial":
-        return SerialExecutor()
-    if executor == "process":
-        return ProcessExecutor(workers or 4)
-    if executor == "async":
-        return AsyncExecutor(workers or 4)
-    if executor == "queue":
-        return QueueExecutor(
-            workers or 2, max_retries=max_retries, timeout_s=timeout_s
+        resolved = executor
+    elif executor == "process" or (
+        executor is None and workers is not None and workers > 1
+    ):
+        resolved = ProcessExecutor(
+            workers or 4, max_retries=max_retries, timeout_s=timeout_s
         )
-    raise ConfigurationError(
-        f"unknown executor {executor!r}; available: {list(EXECUTOR_NAMES)}"
-    )
+    elif executor in (None, "serial"):
+        resolved = SerialExecutor()
+    else:
+        raise ConfigurationError(
+            f"unknown executor {executor!r}; available: {list(EXECUTOR_NAMES)}"
+        )
+    if timeout_s is not None and not isinstance(resolved, ProcessExecutor):
+        raise ConfigurationError(
+            f"a per-spec timeout needs the process executor; the "
+            f"{resolved.name} executor cannot enforce one"
+        )
+    return resolved

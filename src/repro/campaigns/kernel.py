@@ -5,11 +5,10 @@ shares: a picklable value object mapping a validated
 :class:`~repro.scenarios.spec.ScenarioSpec` (shipped as its plain-dict form)
 to a byte-deterministic :class:`~repro.scenarios.runner.ScenarioArtifact`
 plus the engine counters of the run.  It holds **no process-global state** —
-every call builds a fresh :class:`~repro.scenarios.runner.ScenarioRunner`,
-whose flow carries its own :class:`~repro.methodology.SweepEngine` — so the
-same kernel instance produces byte-identical artifacts whether it runs
-inline, on a thread of the async executor, in a process-pool worker or in a
-queue-fed worker process.  That substrate-independence is what the
+every call builds a fresh :class:`~repro.scenarios.runner.ScenarioRunner`
+with its own :class:`~repro.methodology.SweepEngine` — so the same kernel
+instance produces byte-identical artifacts whether it runs inline, on a
+thread of the service's dispatch pool or in a process-pool worker.  That substrate-independence is what the
 executor-conformance suite (``tests/test_executor_conformance.py``) pins.
 
 :class:`SpecExecutionError` is the failure envelope of the campaign layer:
@@ -83,7 +82,7 @@ class EvaluationKernel:
         kernel deterministically re-enables telemetry wherever it lands.
 
     The kernel is a frozen dataclass of plain data, so it pickles cheaply
-    (process pools, queue workers) and hashes/compares by value.  Subclasses
+    (process-pool workers) and hashes/compares by value.  Subclasses
     used by the fault-injection tests override :meth:`run` to simulate
     crashing, hanging or transiently failing workers around the same pure
     core.

@@ -8,8 +8,8 @@ thin composition of three strategies:
   validated spec to a byte-deterministic artifact (no process-global state);
 * an :class:`~repro.campaigns.executors.Executor` fans the kernel over the
   specs the :class:`~repro.campaigns.store.ArtifactStore` could not serve —
-  serial, process pool, asyncio-in-process, or the queue-fed remote-worker
-  simulator with crash/timeout/retry supervision;
+  serially in-process, or over the supervised process pool with
+  crash/timeout/retry handling;
 * the store (behind a pluggable directory backend) serves warm specs up
   front and persists every fresh artifact the moment it exists, so a failed
   campaign resumes incrementally.  The writes run in arrival order on one
@@ -24,7 +24,7 @@ spec's name and ``design_hash``, whether the spec eventually completed
 
 Reports are byte-deterministic and executor-independent: because every spec
 runs on its own fresh :class:`~repro.scenarios.runner.ScenarioRunner`
-whatever the substrate, all four executors produce artifact JSON — and store
+whatever the substrate, the process pool produces artifact JSON — and store
 contents — byte-identical to a serial run (pinned by the tier-1
 executor-conformance suite).
 """
@@ -197,16 +197,15 @@ class CampaignRunner:
     paths:
         Analysis paths every scenario runs (default: all four).
     workers:
-        Worker/concurrency width of the executor.  Kept for compatibility:
-        with no explicit ``executor``, ``workers > 1`` selects the process
-        pool and 1/None runs serially in-process.
+        Process-pool width.  With no explicit ``executor``, ``workers > 1``
+        selects the process pool and 1/None runs serially in-process.
     name:
         Report name; defaults to the matrix name (required for bare lists).
     executor:
         Execution strategy for the specs the store cannot serve: a registry
-        name (``serial`` / ``process`` / ``async`` / ``queue``), an
+        name (``serial`` / ``process``), an
         :class:`~repro.campaigns.executors.Executor` instance, or ``None``
-        for the legacy ``workers``-driven default.
+        for the ``workers``-driven default.
     on_error:
         ``"raise"`` (default) re-raises the first failing spec as a
         :class:`~repro.campaigns.kernel.SpecExecutionError` carrying its
@@ -215,8 +214,10 @@ class CampaignRunner:
         campaign — with a store attached, a later re-run resumes from the
         completed artifacts and only retries the failed specs.
     max_retries / timeout_s:
-        Fault-tolerance knobs of the ``queue`` executor (bounded retries
-        per spec, per-task deadline); ignored by the other strategies.
+        Fault-tolerance knobs of the ``process`` executor (bounded retries
+        per spec, per-task deadline).  A ``timeout_s`` with any other
+        executor raises :class:`~repro.errors.ConfigurationError`, since
+        nothing could enforce it; ``max_retries`` is ignored there.
     transient_method:
         Transient integration path every scenario uses (``"lu"``, ``"rom"``
         or ``"auto"``); folded into the kernel and the store keys, so ROM

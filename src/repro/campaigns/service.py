@@ -114,13 +114,9 @@ class EvaluationService:
         CampaignRunner` for semantics).
     concurrency:
         Bound on kernel calls in flight across *all* requests (one shared
-        semaphore), and the width of the default executor's thread pool.
+        semaphore), and the width of the dispatch thread pool.
     kernel:
         Evaluation kernel override (tests, fault injection).
-    executor:
-        Executor override; must expose an awaitable ``execute_async`` —
-        anything else cannot run on the service loop and is rejected at
-        construction.
     matrices:
         Campaign-name registry for ``POST /campaign/<name>``; defaults to
         the built-in matrices.
@@ -134,7 +130,6 @@ class EvaluationService:
         warm_start: Sequence[str] = (),
         concurrency: int = 4,
         kernel: Optional[EvaluationKernel] = None,
-        executor: Optional[AsyncExecutor] = None,
         matrices: Optional[Mapping[str, ScenarioMatrix]] = None,
     ) -> None:
         if concurrency < 1:
@@ -149,14 +144,7 @@ class EvaluationService:
             else kernel
         )
         self.paths: Tuple[str, ...] = tuple(self.kernel.paths)
-        self.executor = (
-            AsyncExecutor(concurrency) if executor is None else executor
-        )
-        if not hasattr(self.executor, "execute_async"):
-            raise ConfigurationError(
-                f"the service loop needs an executor with execute_async; "
-                f"{type(self.executor).__name__} has none"
-            )
+        self.executor = AsyncExecutor(concurrency)
         self.store = store
         self.concurrency = concurrency
         self.matrices = None if matrices is None else dict(matrices)

@@ -8,7 +8,7 @@ through the four analysis paths:
 * ``steady`` — one zoomed steady-state evaluation at the nominal operating
   point (:meth:`~repro.methodology.SweepEngine.evaluate_one`);
 * ``sweep`` — a PVCSEL sweep over ``spec.sweep_scales``, deduplicated and
-  multi-RHS-batched by the shared :class:`~repro.methodology.SweepEngine`;
+  multi-RHS-batched by the runner's :class:`~repro.methodology.SweepEngine`;
 * ``snr`` — the batched-SNR evaluation of the same sweep points (thermal
   results served from the engine cache, SNR in one vectorized pass);
 * ``transient`` — the spec's activity trace integrated by the transient
@@ -233,9 +233,12 @@ class ScenarioRunner:
     """Builds and executes one declarative scenario end to end.
 
     Construction is lazy and cached: the architecture, placement scenario,
-    flow and shared sweep engine are materialised on first use and reused by
-    every path, so the thermal mesh is built and factorised exactly once per
-    runner regardless of how many paths run.
+    flow and sweep engine are materialised on first use and reused by every
+    path, so the thermal mesh is built and factorised exactly once per
+    runner regardless of how many paths run.  The runner owns the engine
+    rather than attaching it to the flow, so a finished runner holds no
+    reference cycle and its mesh and factorisations are freed the moment it
+    is dropped.
 
     ``transient_method`` selects the transient integration path (``"lu"``,
     ``"rom"`` or ``"auto"``; see :meth:`repro.thermal.TransientSolver.solve`)
@@ -253,6 +256,7 @@ class ScenarioRunner:
         self._architecture: Optional[SccArchitecture] = None
         self._scenario: Optional[OniRingScenario] = None
         self._flow: Optional[ThermalAwareDesignFlow] = None
+        self._engine: Optional[SweepEngine] = None
         self._activity: Optional[ActivityPattern] = None
         self._network_configured = False
 
@@ -298,7 +302,7 @@ class ScenarioRunner:
         return self._scenario
 
     def flow(self) -> ThermalAwareDesignFlow:
-        """Design flow over the scenario (cached; carries the shared engine)."""
+        """Design flow over the scenario (cached)."""
         if self._flow is None:
             self._flow = ThermalAwareDesignFlow(
                 self.architecture(), self.scenario()
@@ -306,8 +310,10 @@ class ScenarioRunner:
         return self._flow
 
     def engine(self) -> SweepEngine:
-        """Sweep engine shared by every path of this runner."""
-        return SweepEngine.shared(self.flow())
+        """Sweep engine shared by every path of this runner (cached)."""
+        if self._engine is None:
+            self._engine = SweepEngine(self.flow())
+        return self._engine
 
     def power_config(self) -> OniPowerConfig:
         """Nominal ONI operating point of the spec."""

@@ -181,6 +181,22 @@ class TestRunAndDiff:
         assert code == 2
         assert "at least one analysis" in err
 
+    def test_run_rejects_timeout_without_process_executor(self, capsys):
+        """``--timeout`` on a serial run is an error, not a dropped deadline."""
+        for extra in ((), ("--executor", "serial"), ("--workers", "1")):
+            code, out, err = run_cli(
+                capsys, "run", "campaign_smoke", "--timeout", "120", *extra
+            )
+            assert code == 2
+            assert "timeout needs the process executor" in err
+            assert "scenarios" not in out
+
+    @pytest.mark.parametrize("retired", ["async", "queue"])
+    def test_run_rejects_retired_executor_names(self, capsys, retired):
+        with pytest.raises(SystemExit):
+            main(["run", "campaign_smoke", "--executor", retired])
+        assert "invalid choice" in capsys.readouterr().err
+
 
 class TestSeedRomAndWarmStart:
     def test_seed_then_warm_started_rom_run(self, capsys, tmp_path):

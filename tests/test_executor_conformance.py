@@ -1,13 +1,14 @@
 """Executor-conformance suite: every substrate is byte-identical to serial.
 
 The acceptance pin of the execution-kernel refactor.  Part one runs the same
-campaign through all four executors (serial / process / async / queue) and
-asserts that artifacts, :class:`~repro.campaigns.CampaignReport` documents
-and store *objects* agree byte for byte with the serial reference — only the
-``index.json`` recency accelerator may differ, because completion order is
-genuinely substrate-dependent.  Part two injects faults into the queue
-executor (killed workers, hung workers, transient pickling failures, poison
-specs) and asserts campaigns still complete with correct artifacts and full
+campaign through both executors (serial / process) and through the
+evaluation service's dispatch, and asserts that artifacts,
+:class:`~repro.campaigns.CampaignReport` documents and store *objects* agree
+byte for byte with the serial reference — only the ``index.json`` recency
+accelerator may differ, because completion order is genuinely
+substrate-dependent.  Part two injects faults into the process executor
+(killed workers, hung workers, transient pickling failures, poison specs)
+and asserts campaigns still complete with correct artifacts and full
 per-spec failure provenance in the report.
 """
 
@@ -30,9 +31,9 @@ from repro.campaigns import (
     AsyncExecutor,
     CampaignRunner,
     EvaluationKernel,
+    EvaluationService,
     MatrixAxis,
     ProcessExecutor,
-    QueueExecutor,
     ScenarioMatrix,
     SerialExecutor,
     SpecExecutionError,
@@ -100,9 +101,11 @@ FAULT_NAMES = [point.spec.name for point in FAULT_MATRIX.points()]
 #: The conformance matrix of executor strategies (ids keyed for CI -k).
 EXECUTORS = {
     "exec_serial": lambda: SerialExecutor(),
-    "exec_process": lambda: ProcessExecutor(workers=2),
-    "exec_async": lambda: AsyncExecutor(concurrency=2),
-    "exec_queue": lambda: QueueExecutor(workers=2, max_retries=1),
+    "exec_process": lambda: ProcessExecutor(workers=2, max_retries=1),
+    # The supervised pool with its hang deadline armed and default retries:
+    # arming the per-item deadline must not change a byte either.  The id
+    # keeps the supervised queue's historical name so CI selectors hold.
+    "exec_queue": lambda: ProcessExecutor(workers=2, timeout_s=600.0),
 }
 
 
@@ -164,7 +167,7 @@ class TestExecutorConformance:
         CampaignRunner(
             MATRIX,
             store=ArtifactStore(store_root),
-            executor=QueueExecutor(workers=2),
+            executor=ProcessExecutor(workers=2),
         ).run()
         for executor_id in sorted(EXECUTORS):
             warm = CampaignRunner(
@@ -174,6 +177,39 @@ class TestExecutorConformance:
             ).run()
             assert warm.summary["store_hits"] == 2, executor_id
             assert warm.artifacts == reference.artifacts, executor_id
+
+
+class TestServiceConformance:
+    """The evaluation service's dispatch reproduces the serial campaign."""
+
+    def test_service_artifacts_and_store_parity(
+        self, serial_reference, tmp_path
+    ):
+        reference, reference_objects = serial_reference
+        service = EvaluationService(
+            store=ArtifactStore(tmp_path / "store"), concurrency=2
+        )
+
+        async def evaluate_all():
+            return await asyncio.gather(
+                *(
+                    service.evaluate(point.spec.to_dict())
+                    for point in MATRIX.points()
+                )
+            )
+
+        documents = asyncio.run(evaluate_all())
+        assert [document["source"] for document in documents] == [
+            "computed"
+        ] * len(MATRIX.points())
+        artifacts = {
+            document["scenario"]: document["artifact"]
+            for document in documents
+        }
+        assert json.dumps(artifacts, sort_keys=True) == json.dumps(
+            reference.artifacts, sort_keys=True
+        )
+        assert store_object_digests(tmp_path / "store") == reference_objects
 
 
 def strip_telemetry(artifact):
@@ -361,18 +397,30 @@ class TestKernel:
     def test_make_executor_registry(self):
         assert make_executor(None).name == "serial"
         assert make_executor(None, workers=4).name == "process"
-        assert make_executor("async", workers=3).concurrency == 3
-        assert make_executor("queue", workers=1).workers == 1
+        assert make_executor("process", workers=1).workers == 1
+        assert make_executor("process").workers == 4
+        pooled = make_executor("process", max_retries=0, timeout_s=5.0)
+        assert (pooled.max_retries, pooled.timeout_s) == (0, 5.0)
         passthrough = SerialExecutor()
         assert make_executor(passthrough) is passthrough
-        with pytest.raises(ConfigurationError, match="unknown executor"):
-            make_executor("carrier-pigeon")
+        for retired in ("carrier-pigeon", "async", "queue"):
+            with pytest.raises(ConfigurationError, match="unknown executor"):
+                make_executor(retired)
         with pytest.raises(ConfigurationError, match="workers >= 1"):
             ProcessExecutor(0)
         with pytest.raises(ConfigurationError, match="max_retries"):
-            QueueExecutor(max_retries=-1)
+            ProcessExecutor(2, max_retries=-1)
         with pytest.raises(ConfigurationError, match="timeout_s"):
-            QueueExecutor(timeout_s=0.0)
+            ProcessExecutor(2, timeout_s=0.0)
+
+    def test_timeout_without_process_executor_is_rejected(self):
+        """A deadline nothing can enforce fails loudly instead of being
+        dropped: serial runs (explicit, default, or ``workers=1``)."""
+        for kwargs in ({"executor": "serial"}, {}, {"workers": 1}):
+            with pytest.raises(ConfigurationError, match="timeout"):
+                CampaignRunner(MATRIX, timeout_s=120.0, **kwargs)
+        runner = CampaignRunner(MATRIX, workers=2, timeout_s=120.0)
+        assert runner.executor.timeout_s == 120.0
 
     def test_runner_rejects_unknown_executor_and_on_error(self):
         with pytest.raises(ConfigurationError, match="unknown executor"):
@@ -398,15 +446,8 @@ def _work_items(count=1):
 
 
 class TestAsyncExecutorLoopContext:
-    """Satellite fix: AsyncExecutor from inside a running event loop.
-
-    The generator-based ``execute`` used to die mid-iteration with asyncio's
-    raw ``RuntimeError: asyncio.run() cannot be called from a running event
-    loop``.  The contract now: ``execute_async`` is awaitable on the host
-    loop (what ``repro serve`` does), and the sync ``execute`` fails *at
-    call time* with a :class:`ConfigurationError` naming the fix when a
-    loop is already running.
-    """
+    """``AsyncExecutor.execute_async`` — the service's dispatch — is
+    awaitable on the host loop and never raises for a failing spec."""
 
     def test_execute_async_awaitable_inside_running_loop(self):
         kernel = EvaluationKernel(("steady",))
@@ -418,27 +459,6 @@ class TestAsyncExecutorLoopContext:
         results = asyncio.run(main())
         assert [result.ok for result in results] == [True, True]
         assert [result.item.index for result in results] == [0, 1]
-
-    def test_sync_execute_in_running_loop_raises_configuration_error(self):
-        kernel = EvaluationKernel(("steady",))
-        executor = AsyncExecutor(concurrency=1)
-
-        async def main():
-            with pytest.raises(ConfigurationError, match="execute_async"):
-                executor.execute(kernel, _work_items())
-
-        asyncio.run(main())
-
-    def test_execute_async_matches_sync_execute(self):
-        kernel = EvaluationKernel(("steady",))
-        items = _work_items(2)
-        sync_results = list(AsyncExecutor(concurrency=2).execute(kernel, items))
-        async_results = asyncio.run(
-            AsyncExecutor(concurrency=2).execute_async(kernel, items)
-        )
-        assert [r.artifact for r in sync_results] == [
-            r.artifact for r in async_results
-        ]
 
     def test_failures_come_back_as_results_not_exceptions(self):
         """execute_async reports a failing spec in its ExecutionResult —
@@ -508,7 +528,7 @@ def fault_reference():
 
 def faulty_runner(kernel, **kwargs):
     executor = kwargs.pop(
-        "executor", QueueExecutor(workers=2, max_retries=2)
+        "executor", ProcessExecutor(workers=2, max_retries=2)
     )
     return CampaignRunner(
         FAULT_MATRIX,
@@ -520,7 +540,7 @@ def faulty_runner(kernel, **kwargs):
 
 
 class TestFaultInjection:
-    """Queue-executor fault semantics: the acceptance scenario of the issue."""
+    """Process-executor fault semantics: crash, hang, retry, quarantine."""
 
     def test_two_worker_crashes_still_complete(
         self, fault_reference, tmp_path
@@ -556,7 +576,7 @@ class TestFaultInjection:
         start = time.monotonic()
         report = faulty_runner(
             kernel,
-            executor=QueueExecutor(workers=2, max_retries=1, timeout_s=3.0),
+            executor=ProcessExecutor(workers=2, max_retries=1, timeout_s=3.0),
         ).run()
         elapsed = time.monotonic() - start
         assert report.artifacts == fault_reference.artifacts
@@ -621,7 +641,7 @@ class TestFaultInjection:
             FAULT_MATRIX,
             paths=("steady",),
             store=ArtifactStore(store_root),
-            executor=QueueExecutor(workers=2),
+            executor=ProcessExecutor(workers=2),
         ).run()
         flags = {
             entry["name"]: entry["from_store"]
@@ -653,14 +673,16 @@ class TestFaultInjection:
         assert "RuntimeError" in str(error)
 
     def test_process_pool_crash_carries_spec_provenance(self, tmp_path):
-        """A worker killed under the plain process pool still names its
-        spec: BrokenProcessPool is attributed to the item that died."""
+        """With no retries left, a killed worker re-raises naming its spec."""
         kernel = FaultyKernel(
             paths=("steady",),
             crash=(FAULT_NAMES[0],),
             marker_dir=str(tmp_path),
         )
         with pytest.raises(SpecExecutionError) as excinfo:
-            faulty_runner(kernel, executor=ProcessExecutor(workers=2)).run()
+            faulty_runner(
+                kernel, executor=ProcessExecutor(workers=2, max_retries=0)
+            ).run()
         assert excinfo.value.scenario == FAULT_NAMES[0]
         assert excinfo.value.design_hash
+        assert "WorkerCrashed" in str(excinfo.value)

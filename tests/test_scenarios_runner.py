@@ -1,9 +1,11 @@
 """Runner layer of the scenario subsystem: builders, paths, artifacts."""
 
+import gc
 import json
 import os
 import threading
 import time
+import weakref
 
 import pytest
 
@@ -239,7 +241,7 @@ class TestRunnerPaths:
         runner = ScenarioRunner(small_spec)
         runner.run(ALL_PATHS)
         engine = runner.engine()
-        assert engine is SweepEngine.shared(runner.flow())
+        assert runner.engine() is runner.engine()
         stats = engine.stats
         # The nominal steady point plus the sweep grid; the SNR path reuses
         # the sweep's thermal evaluations through the cache.
@@ -249,6 +251,22 @@ class TestRunnerPaths:
         solves_before = stats.thermal_solves
         runner.run(ALL_PATHS)
         assert engine.stats.thermal_solves == solves_before
+
+    def test_finished_runner_frees_its_flow_without_the_collector(
+        self, small_spec
+    ):
+        """The runner owns its engine, so no flow<->engine cycle keeps the
+        mesh and its factorisations alive until the next full collection."""
+        gc.collect()
+        gc.disable()
+        try:
+            runner = ScenarioRunner(small_spec)
+            runner.run(ALL_PATHS)
+            flow = weakref.ref(runner.flow())
+            del runner
+            assert flow() is None
+        finally:
+            gc.enable()
 
     def test_spec_network_overrides_reach_the_analyzer(self):
         base = default_registry().get("small_die_uniform")

@@ -107,7 +107,7 @@ class SccPackageParameters:
         return cls(**data)
 
 
-@dataclass
+@dataclass(frozen=True)
 class SccArchitecture:
     """Fully built case-study architecture."""
 

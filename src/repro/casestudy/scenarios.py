@@ -19,7 +19,7 @@ from ..onoc import RingNode, RingTopology
 from .scc import SccArchitecture
 
 
-@dataclass
+@dataclass(frozen=True)
 class OniRingScenario:
     """One ONI placement scenario: ONIs along a ring of a given length."""
 

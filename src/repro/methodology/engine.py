@@ -49,6 +49,9 @@ from .transient import TransientEvaluation, TransientRequest, transient_request_
 
 DEFAULT_FLOW_KEY = "default"
 
+#: Cache key of one engine evaluation.
+Key = Tuple[Hashable, ...]
+
 
 @dataclass(frozen=True)
 class SweepPoint:
@@ -215,6 +218,10 @@ class SweepEngine:
     max_cache_entries:
         Evaluation-cache capacity; the least recently used entries are
         evicted beyond it.
+
+    Cache keys are pure content plus the flow key: a flow is fixed at
+    construction, so an entry stays valid for as long as the engine holds
+    the flow it was computed on.
     """
 
     def __init__(
@@ -291,15 +298,51 @@ class SweepEngine:
 
     # Execution ------------------------------------------------------------------
 
-    def _point_key(self, flow_key: str, request: ThermalRequest) -> Tuple[Hashable, ...]:
-        """Cache key of one point: content key + the flow's cache generation.
+    def _plan(
+        self,
+        points: Iterable[Union[SweepPoint, ThermalRequest]],
+        cache: LruCache,
+        requested_counter: str,
+        hit_counter: str,
+        key_suffix: Tuple[Hashable, ...] = (),
+    ) -> Tuple[List[Key], Dict[Key, Any], "OrderedDict[str, OrderedDict[Key, SweepPoint]]"]:
+        """Key every point, serve the cached ones and group the misses per flow.
 
-        Folding in the generation means evaluations solved before a
-        ``flow.invalidate_caches()`` (resolution or scenario change) can
-        never be served afterwards.
+        A point's key is its :func:`evaluation_key` plus ``key_suffix``.
+        Repeats within the call, like cache hits, count towards
+        ``hit_counter``.  Returns the keys in submission order, the results
+        served from the cache (immune to evictions later in the call) and
+        the misses, grouped per flow in first-seen order.
         """
-        generation = getattr(self._flows[flow_key], "_generation", 0)
-        return (*evaluation_key(flow_key, request), generation)
+        plan: List[SweepPoint] = [
+            point
+            if isinstance(point, SweepPoint)
+            else SweepPoint(request=point)
+            for point in points
+        ]
+        counters = self.stats.registry
+        counters.inc(requested_counter, len(plan))
+        keys: List[Key] = []
+        resolved: Dict[Key, Any] = {}
+        pending: "OrderedDict[str, OrderedDict[Key, SweepPoint]]" = OrderedDict()
+        for point in plan:
+            self.flow(point.flow_key)  # rejects an unknown flow key
+            key = (*evaluation_key(point.flow_key, point.request), *key_suffix)
+            keys.append(key)
+            if key in resolved:
+                counters.inc(hit_counter)
+                continue
+            cached = cache.get(key)
+            if cached is not None:
+                resolved[key] = cached
+                counters.inc(hit_counter)
+                continue
+            group = pending.setdefault(point.flow_key, OrderedDict())
+            if key in group:
+                counters.inc(hit_counter)
+            else:
+                group[key] = point
+        return keys, resolved, pending
 
     def evaluate_one(
         self,
@@ -320,44 +363,16 @@ class SweepEngine:
         once; cache misses are grouped per flow and executed in multi-RHS
         batches.
         """
-        plan: List[SweepPoint] = [
-            point
-            if isinstance(point, SweepPoint)
-            else SweepPoint(request=point)
-            for point in points
-        ]
-        keys: List[Tuple[Hashable, ...]] = []
-        #: Results of this call, immune to cache evictions mid-call.
-        resolved: Dict[Tuple[Hashable, ...], ThermalEvaluation] = {}
-        pending: "OrderedDict[str, OrderedDict[Tuple[Hashable, ...], ThermalRequest]]" = (
-            OrderedDict()
+        keys, resolved, pending = self._plan(
+            points, self._cache, "points_requested", "cache_hits"
         )
-        self.stats.points_requested += len(plan)
-        for point in plan:
-            if point.flow_key not in self._flows:
-                raise ConfigurationError(f"unknown flow key {point.flow_key!r}")
-            key = self._point_key(point.flow_key, point.request)
-            keys.append(key)
-            if key in resolved:
-                self.stats.cache_hits += 1
-                continue
-            cached = self._cache.get(key)
-            if cached is not None:
-                resolved[key] = cached
-                self.stats.cache_hits += 1
-                continue
-            group = pending.setdefault(point.flow_key, OrderedDict())
-            if key in group:
-                self.stats.cache_hits += 1
-            else:
-                group[key] = point.request
-
         for flow_key, work in pending.items():
             with telemetry.span(
                 "engine.thermal_batch", flow=flow_key, points=len(work)
             ):
                 evaluations = self._flows[flow_key].run_thermal_many(
-                    list(work.values()), batch_size=self._batch_size
+                    [point.request for point in work.values()],
+                    batch_size=self._batch_size,
                 )
             for key, evaluation in zip(work, evaluations):
                 resolved[key] = evaluation
@@ -368,13 +383,6 @@ class SweepEngine:
         return [resolved[key] for key in keys]
 
     # Transient execution ---------------------------------------------------------
-
-    def _transient_point_key(
-        self, flow_key: str, request: TransientRequest
-    ) -> Tuple[Hashable, ...]:
-        """Cache key of a transient point (content key + cache generation)."""
-        generation = getattr(self._flows[flow_key], "_generation", 0)
-        return (flow_key, *transient_request_key(request), generation)
 
     def evaluate_transient(
         self,
@@ -390,13 +398,11 @@ class SweepEngine:
         :class:`~repro.thermal.TransientSolver`, whose per-step-size LU
         factorisations are shared across every trace of the batch.
         """
-        if flow_key not in self._flows:
-            raise ConfigurationError(f"unknown flow key {flow_key!r}")
-        flow = self._flows[flow_key]
+        flow = self.flow(flow_key)
         results: List[TransientEvaluation] = []
         for request in requests:
             self.stats.transient_points_requested += 1
-            key = self._transient_point_key(flow_key, request)
+            key = (flow_key, *transient_request_key(request))
             cached = self._transient_cache.get(key)
             if cached is not None:
                 self.stats.transient_cache_hits += 1
@@ -457,12 +463,13 @@ class SweepEngine:
         path.  Returns the builds, for
         :func:`~repro.thermal.factorization.cancel_prefetches`.
         """
+        flow = self.flow(flow_key)
         if request.method != "lu":
             return []
-        key = self._transient_point_key(flow_key, request)
+        key = (flow_key, *transient_request_key(request))
         if self._transient_cache.peek(key) is not None:
             return []
-        solver = self._flows[flow_key].transient_solver(request.theta)
+        solver = flow.transient_solver(request.theta)
         return solver.prefetch(
             (phase.duration_s for phase in request.trace), request.dt_s
         )
@@ -477,24 +484,6 @@ class SweepEngine:
 
     # SNR execution ---------------------------------------------------------------
 
-    def _snr_point_key(
-        self, flow_key: str, request: ThermalRequest, drive: LaserDriveConfig
-    ) -> Tuple[Hashable, ...]:
-        """Cache key of one SNR point: thermal key + the laser drive policy.
-
-        The SNR of a design point is fully determined by its thermal
-        evaluation (same key as the thermal cache, including the flow's
-        cache generation), the drive, and the flow's default routed network
-        — the latter folded in through the flow's network generation, which
-        :meth:`~repro.methodology.flow.ThermalAwareDesignFlow.
-        set_default_network` bumps on every reconfiguration.
-        """
-        network_generation = getattr(
-            self._flows[flow_key], "_network_generation", 0
-        )
-        return (*self._point_key(flow_key, request), network_generation,
-                drive.current_a, drive.dissipated_power_w)
-
     def evaluate_snr(
         self,
         points: Iterable[Union[SweepPoint, ThermalRequest]],
@@ -507,40 +496,17 @@ class SweepEngine:
         flow's pending states into one vectorized
         :meth:`~repro.methodology.flow.ThermalAwareDesignFlow.run_snr_many`
         call on the flow's default routed network.  Reports are cached
-        behind the thermal content key plus the drive, so optimisers
-        revisiting a design point (or a sweep re-running a grid) skip both
-        halves entirely.
+        behind the thermal content key plus the drive (the network is fixed
+        with the flow), so optimisers revisiting a design point (or a sweep
+        re-running a grid) skip both halves entirely.
         """
-        plan: List[SweepPoint] = [
-            point
-            if isinstance(point, SweepPoint)
-            else SweepPoint(request=point)
-            for point in points
-        ]
-        self.stats.snr_points_requested += len(plan)
-        keys: List[Tuple[Hashable, ...]] = []
-        resolved: Dict[Tuple[Hashable, ...], SnrReport] = {}
-        pending: "OrderedDict[str, OrderedDict[Tuple[Hashable, ...], SweepPoint]]" = (
-            OrderedDict()
+        keys, resolved, pending = self._plan(
+            points,
+            self._snr_cache,
+            "snr_points_requested",
+            "snr_cache_hits",
+            key_suffix=(drive.current_a, drive.dissipated_power_w),
         )
-        for point in plan:
-            if point.flow_key not in self._flows:
-                raise ConfigurationError(f"unknown flow key {point.flow_key!r}")
-            key = self._snr_point_key(point.flow_key, point.request, drive)
-            keys.append(key)
-            if key in resolved:
-                self.stats.snr_cache_hits += 1
-                continue
-            cached = self._snr_cache.get(key)
-            if cached is not None:
-                resolved[key] = cached
-                self.stats.snr_cache_hits += 1
-                continue
-            group = pending.setdefault(point.flow_key, OrderedDict())
-            if key in group:
-                self.stats.snr_cache_hits += 1
-            else:
-                group[key] = point
 
         # Thermal step for every miss at once (deduplicated / batched by the
         # thermal machinery), then one batched SNR evaluation per flow with

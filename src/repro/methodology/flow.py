@@ -27,7 +27,7 @@ from ..activity import ActivityPattern, ActivityTrace
 from ..casestudy import OniRingScenario, SccArchitecture
 from ..config import SimulationSettings, TechnologyParameters
 from ..devices import VcselModel
-from ..errors import AnalysisError, ConfigurationError
+from ..errors import AnalysisError, ConfigurationError, GeometryError
 from ..oni import OniPowerConfig, OpticalNetworkInterface
 from ..onoc import Communication, OrnocNetwork, shift_traffic
 from ..snr import (
@@ -186,7 +186,18 @@ class DesignPointResult:
 
 
 class ThermalAwareDesignFlow:
-    """The paper's design methodology, as an executable object."""
+    """The paper's design methodology, as an executable object.
+
+    A flow is fixed at construction: its architecture, scenario, technology,
+    VCSEL model, settings and default network shape are read-only, so the
+    lazily built mesh, solvers and analyzer, and every sweep-engine cache
+    entry computed on the flow, stay valid for its whole lifetime.  Build a
+    new flow for a new resolution, scenario or network shape.
+
+    ``waveguide_count`` and ``channels_per_waveguide`` shape the routed ring
+    (``None``: the ONI layout's counts); ``shift_hops`` sets the hop count of
+    the default shift traffic (``None``: a third of the ring).
+    """
 
     def __init__(
         self,
@@ -195,12 +206,20 @@ class ThermalAwareDesignFlow:
         technology: Optional[TechnologyParameters] = None,
         vcsel: Optional[VcselModel] = None,
         settings: Optional[SimulationSettings] = None,
+        waveguide_count: Optional[int] = None,
+        channels_per_waveguide: Optional[int] = None,
+        shift_hops: Optional[int] = None,
     ) -> None:
-        self.architecture = architecture
-        self.scenario = scenario
-        self.technology = technology or TechnologyParameters()
-        self.vcsel = vcsel or VcselModel()
-        self.settings = settings or architecture.settings
+        if shift_hops is not None and shift_hops < 1:
+            raise ConfigurationError("shift_hops must be >= 1")
+        self._architecture = architecture
+        self._scenario = scenario
+        self._technology = technology or TechnologyParameters()
+        self._vcsel = vcsel or VcselModel()
+        self._settings = settings or architecture.settings
+        self._waveguide_count = waveguide_count
+        self._channels_per_waveguide = channels_per_waveguide
+        self._shift_hops = shift_hops
         self._mesh_cache: Optional[Mesh3D] = None
         self._solver_cache: Optional[SteadyStateSolver] = None
         self._zoom_solver: Optional[ZoomSolver] = None
@@ -208,13 +227,31 @@ class ThermalAwareDesignFlow:
         #: Transient solvers keyed by θ; each caches LU factorisations per
         #: step size, shared by every trace run on this flow.
         self._transient_solvers: Dict[float, TransientSolver] = {}
-        #: Bumped by :meth:`invalidate_caches`; folded into the sweep
-        #: engine's cache keys so stale evaluations are never served.
-        self._generation = 0
-        #: Bumped by :meth:`set_default_network`; folded into the sweep
-        #: engine's *SNR* cache keys, so reports computed on a previous
-        #: default network are never served after a reconfiguration.
-        self._network_generation = 0
+
+    @property
+    def architecture(self) -> SccArchitecture:
+        """Package stack and floorplan (read-only)."""
+        return self._architecture
+
+    @property
+    def scenario(self) -> OniRingScenario:
+        """ONI placement scenario (read-only)."""
+        return self._scenario
+
+    @property
+    def technology(self) -> TechnologyParameters:
+        """Photonic technology parameters (read-only)."""
+        return self._technology
+
+    @property
+    def vcsel(self) -> VcselModel:
+        """VCSEL model of the SNR analysis (read-only)."""
+        return self._vcsel
+
+    @property
+    def settings(self) -> SimulationSettings:
+        """Mesh and solver resolutions (read-only)."""
+        return self._settings
 
     # Mesh / solver infrastructure ----------------------------------------------------
 
@@ -231,7 +268,9 @@ class ThermalAwareDesignFlow:
         if self._zoom_solver is None:
             try:
                 vertical_range = self.architecture.zoom_vertical_range()
-            except Exception:
+            except GeometryError:
+                # A stack without the die/cap silicon layers (a custom
+                # architecture) zooms over its full height.
                 vertical_range = None
             self._zoom_solver = ZoomSolver(
                 self.architecture.stack,
@@ -251,15 +290,6 @@ class ThermalAwareDesignFlow:
                 rtol=self.settings.solver_rtol,
             )
         return self._solver_cache
-
-    def invalidate_caches(self) -> None:
-        """Drop the cached mesh and solvers (after changing resolutions or the scenario)."""
-        self._mesh_cache = None
-        self._solver_cache = None
-        self._zoom_solver = None
-        self._snr_analyzer_cache = None
-        self._transient_solvers = {}
-        self._generation += 1
 
     # Heat sources -----------------------------------------------------------------------
 
@@ -575,68 +605,35 @@ class ThermalAwareDesignFlow:
     # Network / SNR step -----------------------------------------------------------------------
 
     def build_network(
-        self,
-        communications: Optional[Sequence[Communication]] = None,
-        waveguide_count: Optional[int] = None,
-        channels_per_waveguide: Optional[int] = None,
+        self, communications: Optional[Sequence[Communication]] = None
     ) -> OrnocNetwork:
-        """Routed ORNoC network for the scenario's ring.
+        """Routed ORNoC network for the scenario's ring, in the flow's shape.
 
         The default traffic is the maximal-reuse *shift* pattern: each ONI
-        sends to the ONI a third of the ring ahead, so every wavelength
-        channel is reused by a chain of communications around the ring.  This
-        is the configuration in which the thermally-induced crosstalk of the
-        paper's Section IV.C is visible; pass an explicit communication list
-        for other traffic.
+        sends to the ONI ``shift_hops`` ahead (a third of the ring unless the
+        flow was built with another hop count), so every wavelength channel
+        is reused by a chain of communications around the ring.  This is the
+        configuration in which the thermally-induced crosstalk of the paper's
+        Section IV.C is visible; pass an explicit communication list for
+        other traffic.
         """
         if communications is not None:
             traffic = list(communications)
         else:
-            hops = max(1, len(self.scenario.ring) // 3)
+            hops = self._shift_hops or max(1, len(self.scenario.ring) // 3)
             traffic = shift_traffic(self.scenario.ring, hops)
         layout = self.scenario.onis[0].layout.parameters
         network = OrnocNetwork(
             ring=self.scenario.ring,
             communications=traffic,
             technology=self.technology,
-            waveguide_count=waveguide_count or layout.waveguide_count,
-            channels_per_waveguide=channels_per_waveguide or layout.lasers_per_waveguide,
+            waveguide_count=self._waveguide_count or layout.waveguide_count,
+            channels_per_waveguide=(
+                self._channels_per_waveguide or layout.lasers_per_waveguide
+            ),
         )
         network.assign_channels()
         return network
-
-    def set_default_network(
-        self,
-        communications: Optional[Sequence[Communication]] = None,
-        waveguide_count: Optional[int] = None,
-        channels_per_waveguide: Optional[int] = None,
-        shift_hops: Optional[int] = None,
-    ) -> SnrAnalyzer:
-        """(Re)configure the flow's default routed network and cached analyzer.
-
-        Every subsequent default-traffic SNR call (``run_snr`` /
-        ``run_snr_many`` / ``run_transient_snr`` without explicit
-        communications, and the sweep engine's batched-SNR path) evaluates on
-        this network.  ``shift_hops`` rebuilds the default shift traffic with
-        a different hop count; an explicit ``communications`` list wins over
-        it.  Returns the freshly compiled analyzer.
-        """
-        if communications is None and shift_hops is not None:
-            if shift_hops < 1:
-                raise ConfigurationError("shift_hops must be >= 1")
-            communications = shift_traffic(self.scenario.ring, shift_hops)
-        network = self.build_network(
-            communications,
-            waveguide_count=waveguide_count,
-            channels_per_waveguide=channels_per_waveguide,
-        )
-        self._snr_analyzer_cache = SnrAnalyzer(
-            network, technology=self.technology, vcsel=self.vcsel
-        )
-        # SNR reports cached by an attached sweep engine were computed on
-        # the previous default network; retire them.
-        self._network_generation += 1
-        return self._snr_analyzer_cache
 
     def snr_analyzer(
         self,

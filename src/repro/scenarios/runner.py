@@ -238,7 +238,8 @@ class ScenarioRunner:
     runner regardless of how many paths run.  The runner owns the engine
     rather than attaching it to the flow, so a finished runner holds no
     reference cycle and its mesh and factorisations are freed the moment it
-    is dropped.
+    is dropped.  The flow is built in the spec's network shape and never
+    changes afterwards, so nothing in the engine's caches can go stale.
 
     ``transient_method`` selects the transient integration path (``"lu"``,
     ``"rom"`` or ``"auto"``; see :meth:`repro.thermal.TransientSolver.solve`)
@@ -258,7 +259,6 @@ class ScenarioRunner:
         self._flow: Optional[ThermalAwareDesignFlow] = None
         self._engine: Optional[SweepEngine] = None
         self._activity: Optional[ActivityPattern] = None
-        self._network_configured = False
 
     # Materialisation -------------------------------------------------------
 
@@ -302,10 +302,15 @@ class ScenarioRunner:
         return self._scenario
 
     def flow(self) -> ThermalAwareDesignFlow:
-        """Design flow over the scenario (cached)."""
+        """Design flow over the scenario, in the spec's network shape (cached)."""
         if self._flow is None:
+            network = self.spec.network
             self._flow = ThermalAwareDesignFlow(
-                self.architecture(), self.scenario()
+                self.architecture(),
+                self.scenario(),
+                waveguide_count=network.waveguide_count,
+                channels_per_waveguide=network.channels_per_waveguide,
+                shift_hops=network.shift_hops,
             )
         return self._flow
 
@@ -362,22 +367,6 @@ class ScenarioRunner:
         )
 
     # Execution -------------------------------------------------------------
-
-    def _configure_network(self, flow: ThermalAwareDesignFlow) -> None:
-        """Point the flow's default analyzer at the spec's network shape."""
-        network = self.spec.network
-        if self._network_configured or (
-            network.shift_hops is None
-            and network.waveguide_count is None
-            and network.channels_per_waveguide is None
-        ):
-            return
-        self._network_configured = True
-        flow.set_default_network(
-            waveguide_count=network.waveguide_count,
-            channels_per_waveguide=network.channels_per_waveguide,
-            shift_hops=network.shift_hops,
-        )
 
     def _sweep_requests(self) -> List[ThermalRequest]:
         """One zoom-less thermal request per sweep scale, in spec order."""
@@ -550,7 +539,6 @@ class ScenarioRunner:
             )
         flow = self.flow()
         engine = self.engine()
-        self._configure_network(flow)
         transient = (
             self._transient_request() if "transient" in requested else None
         )

@@ -202,33 +202,3 @@ class TestEngineBehaviour:
         engine.evaluate_snr([request], LaserDriveConfig.from_dissipated_mw(4.2))
         assert engine.stats.snr_evaluations == 3
         assert engine.stats.snr_cache_hits == 1
-
-    def test_set_default_network_retires_cached_snr_reports(
-        self, coarse_architecture
-    ):
-        """Reconfiguring the flow's network must never serve old reports."""
-        from repro.casestudy import build_oni_ring_scenario
-        from repro.methodology import ThermalAwareDesignFlow
-
-        scenario = build_oni_ring_scenario(
-            coarse_architecture, ring_length_mm=18.0, oni_count=6
-        )
-        flow = ThermalAwareDesignFlow(coarse_architecture, scenario)
-        engine = SweepEngine(flow)
-        activity = uniform_activity(coarse_architecture.floorplan, 20.0)
-        request = ThermalRequest(activity=activity, zoom_oni=None)
-        drive = LaserDriveConfig.from_dissipated_mw(3.6)
-
-        before = engine.evaluate_snr([request], drive)[0]
-        flow.set_default_network(shift_hops=1)
-        after = engine.evaluate_snr([request], drive)[0]
-
-        # The re-evaluation ran on the new topology (no stale cache hit)...
-        assert engine.stats.snr_cache_hits == 0
-        assert engine.stats.snr_evaluations == 2
-        # ...and the reports really describe different traffic.
-        before_links = {link.communication.name for link in before.links}
-        after_links = {link.communication.name for link in after.links}
-        assert before_links != after_links
-        # The thermal half is network-independent and stays cached.
-        assert engine.stats.thermal_solves == 1

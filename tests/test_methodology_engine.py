@@ -100,22 +100,6 @@ class TestSweepEngine:
         assert len(results) == 3
         assert engine.cache_size == 1
 
-    def test_invalidate_caches_invalidates_engine_cache(self, coarse_architecture):
-        scenario = build_oni_ring_scenario(
-            coarse_architecture, 18.0, oni_count=4, name="invalidate"
-        )
-        flow = ThermalAwareDesignFlow(coarse_architecture, scenario)
-        engine = SweepEngine.shared(flow)
-        request = request_grid(flow, [2.0])[0]
-        engine.evaluate([request])
-        assert engine.stats.thermal_solves == 1
-        engine.evaluate([request])
-        assert engine.stats.thermal_solves == 1
-        flow.invalidate_caches()
-        # Pre-invalidation evaluations must not be served any more.
-        engine.evaluate([request])
-        assert engine.stats.thermal_solves == 2
-
     def test_run_thermal_many_chunking_matches_single_batch(self, small_flow):
         requests = request_grid(small_flow, [0.0, 1.0, 2.0])
         chunked = small_flow.run_thermal_many(requests, batch_size=2)

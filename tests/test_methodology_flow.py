@@ -1,9 +1,19 @@
 """Tests for the end-to-end design flow (thermal + SNR evaluation)."""
 
+import dataclasses
+
 import pytest
 
 from repro.activity import diagonal_activity, uniform_activity
-from repro.errors import AnalysisError
+from repro.casestudy import SccArchitecture, build_oni_ring_scenario
+from repro.errors import AnalysisError, ConfigurationError
+from repro.geometry import LayerStack
+from repro.methodology import (
+    SweepEngine,
+    SweepPoint,
+    ThermalAwareDesignFlow,
+    ThermalRequest,
+)
 from repro.oni import OniPowerConfig
 from repro.onoc import opposite_traffic
 from repro.snr import LaserDriveConfig
@@ -125,8 +135,6 @@ class TestNetworkAndSnrStep:
         # Explicit traffic bypasses the cache.
         traffic = opposite_traffic(small_flow.scenario.ring)
         assert small_flow.snr_analyzer(communications=traffic) is not analyzer
-        small_flow.invalidate_caches()
-        assert small_flow.snr_analyzer() is not analyzer
 
     def test_evaluate_design_point_combines_both(self, small_flow, uniform_25w):
         result = small_flow.evaluate_design_point(uniform_25w, PAPER_POWER)
@@ -140,3 +148,115 @@ class TestNetworkAndSnrStep:
         states = evaluation.states()
         assert len(states) == len(small_flow.scenario.onis)
         assert all(state.laser_c > 35.0 for state in states)
+
+
+class TestImmutableFlow:
+    """A flow is fixed at construction; so are the inputs it is built from."""
+
+    @pytest.mark.parametrize(
+        "name", ["architecture", "scenario", "technology", "vcsel", "settings"]
+    )
+    def test_rebinding_a_flow_input_raises(self, small_flow, name):
+        value = getattr(small_flow, name)
+        with pytest.raises(AttributeError):
+            setattr(small_flow, name, value)
+        assert getattr(small_flow, name) is value
+
+    def test_architecture_fields_are_frozen(self, coarse_architecture):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            coarse_architecture.settings = coarse_architecture.settings
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            coarse_architecture.optical_layer = "beol"
+
+    def test_scenario_fields_are_frozen(self, small_scenario):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            small_scenario.onis = []
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            small_scenario.name = "other"
+
+    def test_shift_hops_must_be_positive(self, coarse_architecture, small_scenario):
+        with pytest.raises(ConfigurationError, match="shift_hops"):
+            ThermalAwareDesignFlow(coarse_architecture, small_scenario, shift_hops=0)
+
+    def test_network_shape_is_a_constructor_argument(
+        self, coarse_architecture, small_scenario
+    ):
+        flow = ThermalAwareDesignFlow(
+            coarse_architecture,
+            small_scenario,
+            waveguide_count=2,
+            channels_per_waveguide=6,
+        )
+        network = flow.build_network()
+        assert network.waveguide_count == 2
+        assert network.channels_per_waveguide == 6
+
+    def test_flows_differing_in_shift_hops_never_share_reports(
+        self, coarse_architecture, small_scenario
+    ):
+        default = ThermalAwareDesignFlow(coarse_architecture, small_scenario)
+        one_hop = ThermalAwareDesignFlow(
+            coarse_architecture, small_scenario, shift_hops=1
+        )
+        request = ThermalRequest(
+            activity=uniform_activity(coarse_architecture.floorplan, 20.0),
+            zoom_oni=None,
+        )
+        drive = LaserDriveConfig.from_dissipated_mw(3.6)
+
+        def links(report):
+            return {link.communication.name for link in report.links}
+
+        # One engine per flow: each report describes its own flow's traffic.
+        shared_default = SweepEngine.shared(default)
+        shared_one_hop = SweepEngine.shared(one_hop)
+        assert shared_default is not shared_one_hop
+        default_report = shared_default.evaluate_snr([request], drive)[0]
+        one_hop_report = shared_one_hop.evaluate_snr([request], drive)[0]
+        assert links(default_report) != links(one_hop_report)
+        assert links(default_report) == links(default.run_snr(
+            default.run_thermal(request.activity, zoom_oni=None), drive
+        ))
+
+        # One engine over both flows: the same request on each flow is two
+        # SNR evaluations, never a cache hit across flows.
+        engine = SweepEngine({"default": default, "one_hop": one_hop})
+        reports = engine.evaluate_snr(
+            [
+                SweepPoint(request=request, flow_key="default"),
+                SweepPoint(request=request, flow_key="one_hop"),
+            ],
+            drive,
+        )
+        assert engine.stats.snr_evaluations == 2
+        assert engine.stats.snr_cache_hits == 0
+        assert links(reports[0]) == links(default_report)
+        assert links(reports[1]) == links(one_hop_report)
+
+
+class TestZoomWindow:
+    def test_stack_without_cap_silicon_zooms_full_height(
+        self, coarse_architecture, uniform_25w
+    ):
+        stack = LayerStack(coarse_architecture.stack.footprint, name="no_cap")
+        for layer in coarse_architecture.stack:
+            if layer.name != "cap_silicon":
+                stack.add_layer(layer)
+        architecture = dataclasses.replace(coarse_architecture, stack=stack)
+        scenario = build_oni_ring_scenario(architecture, 18.0, oni_count=4)
+        flow = ThermalAwareDesignFlow(architecture, scenario)
+        evaluation = flow.run_thermal(uniform_25w, power=PAPER_POWER)
+        z_ticks = evaluation.zoom_map.mesh.z_ticks
+        assert z_ticks[0] == pytest.approx(0.0)
+        assert z_ticks[-1] == pytest.approx(stack.total_thickness)
+
+    def test_other_zoom_range_errors_propagate(
+        self, coarse_architecture, small_scenario, uniform_25w, monkeypatch
+    ):
+        def broken(self):
+            raise RuntimeError("bug in zoom_vertical_range")
+
+        monkeypatch.setattr(SccArchitecture, "zoom_vertical_range", broken)
+        flow = ThermalAwareDesignFlow(coarse_architecture, small_scenario)
+        with pytest.raises(RuntimeError, match="bug in zoom_vertical_range"):
+            flow.run_thermal(uniform_25w, power=PAPER_POWER)

@@ -222,20 +222,15 @@ class TestEngineTransientCache:
         engine.evaluate_transient([base, finer])
         assert engine.stats.transient_solves == 2
 
-    def test_generation_bump_invalidates(self, flow, ramp_trace, power):
-        engine = SweepEngine(flow)
-        request = TransientRequest(trace=ramp_trace, power=power, dt_s=0.5)
-        engine.evaluate_transient([request])
-        flow.invalidate_caches()
-        engine.evaluate_transient([request])
-        assert engine.stats.transient_solves == 2
-        assert engine.stats.transient_cache_hits == 0
-
     def test_unknown_flow_key_rejected(self, flow, ramp_trace):
         engine = SweepEngine(flow)
         with pytest.raises(ConfigurationError, match="unknown flow key"):
             engine.evaluate_transient(
                 [TransientRequest(trace=ramp_trace)], flow_key="nope"
+            )
+        with pytest.raises(ConfigurationError, match="unknown flow key"):
+            engine.prefetch_transient(
+                TransientRequest(trace=ramp_trace), flow_key="nope"
             )
 
     def test_clear_cache_drops_transient_entries(self, flow, ramp_trace, power):
